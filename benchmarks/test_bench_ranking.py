@@ -21,7 +21,7 @@ def test_e9_rank_catalog_with_listing1(benchmark, mid_store):
     ranked = benchmark(ranker.rank_ids, ids, LISTING1)
 
     assert len(ranked) == len(ids)
-    scores = [entry.score for entry in ranked]
+    scores = [score for _, score in ranked]
     assert scores == sorted(scores, reverse=True)
 
 
@@ -35,8 +35,8 @@ def test_e9_weight_edit_reorders_without_code(benchmark, mid_store):
         return ranker.rank_ids(ids, [RankingWeight("freshness", 100.0)])
 
     by_freshness = benchmark(rank_by_freshness)
-    top_usage = [e.artifact_id for e in by_usage[:10]]
-    top_fresh = [e.artifact_id for e in by_freshness[:10]]
+    top_usage = [aid for aid, _ in by_usage[:10]]
+    top_fresh = [aid for aid, _ in by_freshness[:10]]
     assert top_usage != top_fresh
 
     overlap = len(set(top_usage) & set(top_fresh))
@@ -56,8 +56,8 @@ def test_e9_cross_provider_combination(benchmark, mid_store):
     ranker = Ranker(FieldResolver(mid_store))
     tables = mid_store.by_type("table")[:100]
     workbooks = mid_store.by_type("workbook")
-    ranking_a = ranker.rank_ids(tables, LISTING1)
-    ranking_b = ranker.rank_ids(workbooks, LISTING1)
+    ranking_a = ranker.top_k(tables, LISTING1, len(tables))
+    ranking_b = ranker.top_k(workbooks, LISTING1, len(workbooks))
 
     combined = benchmark(combine_rankings, [ranking_a, ranking_b])
 

@@ -8,9 +8,10 @@ events without quadratic recomputation.
 
 from __future__ import annotations
 
+import threading
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import ItemsView, Sequence
+from typing import Sequence
 
 from repro.catalog.model import UsageEvent
 
@@ -41,6 +42,9 @@ class UsageLog:
         self._stats: dict[str, UsageStats] = defaultdict(UsageStats)
         # Per-user recency: artifact -> last time *this user* touched it.
         self._user_recents: dict[str, dict[str, float]] = defaultdict(dict)
+        # Held by folds into the two maps above and by readers' copies of
+        # them: a GC inside a bare copy can run finalizers and switch threads.
+        self._lock = threading.Lock()
 
     def __len__(self) -> int:
         return len(self._events)
@@ -63,41 +67,43 @@ class UsageLog:
     def _fold(self, event: UsageEvent) -> None:
         """Fold one event into the aggregates (shared with lazy backends,
         which journal the raw event separately from the resident log)."""
-        stats = self._stats[event.artifact_id]
-        if event.action == "view":
-            stats.view_count += 1
-            stats.last_viewed_at = max(stats.last_viewed_at, event.timestamp)
-            stats.viewers.add(event.user_id)
-        elif event.action == "open":
-            stats.open_count += 1
-            stats.viewers.add(event.user_id)
-        elif event.action == "edit":
-            stats.edit_count += 1
-            stats.last_edited_at = max(stats.last_edited_at, event.timestamp)
-        elif event.action == "favorite":
-            if event.user_id not in stats.favorited_by:
-                stats.favorited_by.add(event.user_id)
-                stats.favorite_count += 1
-        elif event.action == "unfavorite":
-            if event.user_id in stats.favorited_by:
-                stats.favorited_by.discard(event.user_id)
-                stats.favorite_count -= 1
-        recents = self._user_recents[event.user_id]
-        previous = recents.get(event.artifact_id, 0.0)
-        recents[event.artifact_id] = max(previous, event.timestamp)
+        with self._lock:
+            stats = self._stats[event.artifact_id]
+            if event.action == "view":
+                stats.view_count += 1
+                stats.last_viewed_at = max(stats.last_viewed_at, event.timestamp)
+                stats.viewers.add(event.user_id)
+            elif event.action == "open":
+                stats.open_count += 1
+                stats.viewers.add(event.user_id)
+            elif event.action == "edit":
+                stats.edit_count += 1
+                stats.last_edited_at = max(stats.last_edited_at, event.timestamp)
+            elif event.action == "favorite":
+                if event.user_id not in stats.favorited_by:
+                    stats.favorited_by.add(event.user_id)
+                    stats.favorite_count += 1
+            elif event.action == "unfavorite":
+                if event.user_id in stats.favorited_by:
+                    stats.favorited_by.discard(event.user_id)
+                    stats.favorite_count -= 1
+            recents = self._user_recents[event.user_id]
+            previous = recents.get(event.artifact_id, 0.0)
+            recents[event.artifact_id] = max(previous, event.timestamp)
 
     def stats(self, artifact_id: str) -> UsageStats:
         """Aggregates for *artifact_id* (zeros if never used)."""
         return self._stats.get(artifact_id, UsageStats())
 
-    def all_stats(self) -> "ItemsView[str, UsageStats]":
-        """Every artifact's aggregates in one pass (live view, no copy).
+    def all_stats(self) -> list[tuple[str, UsageStats]]:
+        """Every artifact's aggregates in one pass.
 
         The batch field resolver snapshots usage-derived ranking fields
         from this instead of issuing one :meth:`stats` lookup per
-        (artifact, field) pair per search.
+        (artifact, field) pair per search; copied under the fold lock.
         """
-        return self._stats.items()
+        with self._lock:
+            return list(self._stats.items())
 
     def events(self) -> tuple[UsageEvent, ...]:
         """All events in arrival order (a copy-free snapshot)."""
@@ -105,22 +111,23 @@ class UsageLog:
 
     def recent_for_user(self, user_id: str, limit: int = 20) -> list[str]:
         """Artifact ids *user_id* touched, most recent first."""
-        recents = self._user_recents.get(user_id, {})
-        ordered = sorted(recents.items(), key=lambda kv: (-kv[1], kv[0]))
+        with self._lock:
+            recents = list(self._user_recents.get(user_id, {}).items())
+        ordered = sorted(recents, key=lambda kv: (-kv[1], kv[0]))
         return [artifact_id for artifact_id, _ in ordered[:limit]]
 
     def favorites_of(self, user_id: str) -> list[str]:
         """Artifact ids currently favourited by *user_id* (sorted for determinism)."""
         return sorted(
             artifact_id
-            for artifact_id, stats in self._stats.items()
+            for artifact_id, stats in self.all_stats()
             if user_id in stats.favorited_by
         )
 
     def most_viewed(self, limit: int = 20) -> list[tuple[str, int]]:
         """``(artifact_id, view_count)`` pairs, most viewed first."""
         ranked = sorted(
-            ((aid, s.view_count) for aid, s in self._stats.items() if s.view_count),
+            ((aid, s.view_count) for aid, s in self.all_stats() if s.view_count),
             key=lambda kv: (-kv[1], kv[0]),
         )
         return ranked[:limit]

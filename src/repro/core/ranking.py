@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from repro.core.spec.model import HumboldtSpec, RankingWeight
+from repro.core.spec.model import RankingWeight
 from repro.providers.base import ScoredArtifact
-from repro.providers.fields import FieldResolver
+from repro.providers.fields import FieldResolver, _as_number
 
 
 @dataclass(frozen=True)
@@ -32,7 +32,13 @@ class RankedArtifact:
 
 
 class Ranker:
-    """Scores artifacts with spec-declared weights over resolved fields."""
+    """Scores artifacts with spec-declared weights over resolved fields.
+
+    The four entry points are thin shells over one columnar kernel,
+    :meth:`_rank`.  It orders exactly as per-item :meth:`score` plus a
+    sort on ``(-score, artifact_id)`` would; only the entries a caller
+    gets back pay for a :meth:`score` breakdown.
+    """
 
     def __init__(self, resolver: FieldResolver):
         self.resolver = resolver
@@ -73,36 +79,16 @@ class Ranker:
         limit: int,
         base_scores: "dict[str, float] | None" = None,
     ) -> list[RankedArtifact]:
-        """The top-*limit* artifacts by combined score, lazily built.
-
-        The full-sort path (:meth:`rank_ids`) constructs a
-        :class:`RankedArtifact` — rounded per-field contribution tuples
-        included — for *every* candidate, then throws all but the head
-        away.  This path scores with plain floats (one
-        :meth:`FieldResolver.values_batch` pass, no tuples), heap-selects
-        the head with :func:`heapq.nsmallest`, and builds contribution
-        breakdowns only for the ≤ *limit* entries actually returned.
-
-        Ordering is bit-identical to the sort path: scores are rounded
-        the same way and ties break on artifact id.  ``limit <= 0``
-        returns no entries (the cap semantics of search).
-        """
+        """The top-*limit* artifacts, each plus its *base_scores* entry
+        (search's text score); ``limit <= 0`` returns none."""
         ids = list(artifact_ids)
-        if limit <= 0 or not ids:
+        if limit <= 0:
             return []
         base_scores = base_scores or {}
-        columns = self.resolver.values_batch(ids, [w.field for w in weights])
-        weight_columns = [(w.weight, columns[w.field]) for w in weights]
-        keyed = []
-        for index, aid in enumerate(ids):
-            total = base_scores.get(aid, 0.0)
-            for weight, column in weight_columns:
-                total += column[index] * weight
-            keyed.append((-round(total, 6), aid))
-        head = heapq.nsmallest(limit, keyed)
+        base = [base_scores.get(a, 0.0) for a in ids] if base_scores else None
         return [
             self.score(aid, weights, base_score=base_scores.get(aid, 0.0))
-            for _, aid in head
+            for _, aid, _ in self._rank(ids, weights, limit, base)
         ]
 
     def top_k_items(
@@ -112,52 +98,8 @@ class Ranker:
         limit: int,
         live: bool = False,
     ) -> list[RankedArtifact]:
-        """Lazy top-*limit* selection over provider items.
-
-        Same contract as :meth:`rank_items` truncated to *limit* (same
-        scores, same live-field semantics, same tie-breaks), but scoring
-        runs on plain floats over batch-resolved columns and only the
-        returned head pays for :class:`RankedArtifact` construction.
-        ``limit <= 0`` falls back to the full sort — an uncapped caller
-        needs every entry ranked anyway.
-        """
-        items = list(items)
-        if limit <= 0:
-            return self.rank_items(items, weights, live=live)
-        snapshots = [
-            {
-                k: v
-                for k, v in item.fields.items()
-                if isinstance(v, (int, float))
-                and not isinstance(v, bool)
-                and not (live and self.resolver.serves(k))
-            }
-            for item in items
-        ]
-        columns = self.resolver.values_batch(
-            [item.artifact_id for item in items], [w.field for w in weights]
-        )
-        keyed = []
-        for index, item in enumerate(items):
-            total = item.score
-            snapshot = snapshots[index]
-            for weight in weights:
-                if weight.field in snapshot:
-                    value = float(snapshot[weight.field])
-                else:
-                    value = columns[weight.field][index]
-                total += value * weight.weight
-            keyed.append((-round(total, 6), item.artifact_id, index))
-        head = heapq.nsmallest(limit, keyed)
-        return [
-            self.score(
-                items[index].artifact_id,
-                weights,
-                base_score=items[index].score,
-                fields=snapshots[index],
-            )
-            for _, _, index in head
-        ]
+        """:meth:`rank_items` cut to *limit* (``<= 0`` keeps every item)."""
+        return self._rank_items(list(items), weights, limit, live)
 
     def rank_items(
         self,
@@ -167,38 +109,92 @@ class Ranker:
     ) -> list[RankedArtifact]:
         """Rank provider items; ties break on artifact id for determinism.
 
-        With ``live=True``, fields the resolver serves are re-resolved
-        from the catalog instead of read from the items' attached
-        snapshots — provider results may come from a cache, and a view
-        truncated on snapshot values would pin stale usage numbers into
-        its visible head.  Snapshots still win for provider-computed
+        An item's ``score`` is its base score, and numbers in its attached
+        ``fields`` (not bools; NaN and ±inf count as 0.0) stand in for the
+        resolver.  With ``live=True``, fields the resolver serves are
+        re-resolved from the catalog instead of read from the items'
+        attached snapshots — provider results may come from a cache, and
+        a view truncated on snapshot values would pin stale usage numbers
+        into its visible head.  Snapshots still win for provider-computed
         fields the resolver cannot serve (e.g. per-item match counts).
         """
-        ranked = [
-            self.score(
-                item.artifact_id,
-                weights,
-                base_score=item.score,
-                fields={
-                    k: v
-                    for k, v in item.fields.items()
-                    if isinstance(v, (int, float))
-                    and not isinstance(v, bool)
-                    and not (live and self.resolver.serves(k))
-                },
-            )
-            for item in items
-        ]
-        ranked.sort(key=lambda r: (-r.score, r.artifact_id))
-        return ranked
+        return self._rank_items(list(items), weights, 0, live)
 
     def rank_ids(
         self, artifact_ids: Iterable[str], weights: Sequence[RankingWeight]
-    ) -> list[RankedArtifact]:
-        """Rank bare artifact ids (used by search-result ordering)."""
-        ranked = [self.score(aid, weights) for aid in artifact_ids]
-        ranked.sort(key=lambda r: (-r.score, r.artifact_id))
-        return ranked
+    ) -> list[tuple[str, float]]:
+        """Every id with its score, best first, without breakdowns."""
+        keys = self._rank(list(artifact_ids), weights, 0)
+        return [(aid, -key) for key, aid, _ in keys]
+
+    def _rank_items(self, items, weights, limit, live) -> list[RankedArtifact]:
+        keys = self._rank(
+            [item.artifact_id for item in items],
+            weights,
+            limit,
+            [item.score for item in items],
+            [item.fields for item in items],
+            live,
+        )
+        entries = []
+        for _, aid, index in keys:
+            item, fields = items[index], {}
+            for weight in weights:
+                value = self._attached(item.fields, weight.field, live)
+                if value is not None:
+                    fields[weight.field] = value
+            entries.append(self.score(aid, weights, item.score, fields))
+        return entries
+
+    def _attached(self, fields: Mapping, field: str, live: bool):
+        """The usable attached value of *field*, or None for the resolver."""
+        raw = fields.get(field)
+        if not isinstance(raw, (int, float)) or isinstance(raw, bool):
+            return None
+        if live and self.resolver.serves(field):
+            return None
+        return _as_number(raw)
+
+    def _rank(
+        self,
+        ids: list[str],
+        weights: Sequence[RankingWeight],
+        limit: int,
+        base: list[float] | None = None,
+        attached: list[Mapping] | None = None,
+        live: bool = False,
+    ) -> list[tuple[float, str, int]]:
+        """Keys ``(-round(score, 6), id, index)``, best first: the
+        :func:`heapq.nsmallest` *limit* of them, or all sorted when
+        ``limit <= 0``.  Each weighted field is one column: usable
+        attached values, the rest from :meth:`FieldResolver.values_batch`.
+        Scores sum in weight order from the base, as :meth:`score` does.
+        """
+        fields = list(dict.fromkeys(weight.field for weight in weights))
+        if attached is None:
+            columns = self.resolver.values_batch(ids, fields)
+        else:
+            columns = {}
+            for field in fields:
+                column = [self._attached(f, field, live) for f in attached]
+                missing = [i for i, v in enumerate(column) if v is None]
+                resolved = self.resolver.values_batch(
+                    [ids[i] for i in missing], (field,)
+                )[field]
+                for index, value in zip(missing, resolved):
+                    column[index] = value
+                columns[field] = column
+        totals = base or [0.0] * len(ids)
+        for weight in weights:
+            totals = [
+                total + value * weight.weight
+                for total, value in zip(totals, columns[weight.field])
+            ]
+        keys = [
+            (-round(total, 6), aid, index)
+            for index, (total, aid) in enumerate(zip(totals, ids))
+        ]
+        return heapq.nsmallest(limit, keys) if limit > 0 else sorted(keys)
 
 
 def combine_rankings(
@@ -226,11 +222,3 @@ def combine_rankings(
     combined = list(merged.values())
     combined.sort(key=lambda r: (-r.score, r.artifact_id))
     return combined
-
-
-def effective_weights(
-    spec: HumboldtSpec, provider_name: str
-) -> tuple[RankingWeight, ...]:
-    """Provider weights with global fallback — re-exported for callers that
-    hold a spec but not the provider object."""
-    return spec.effective_ranking(provider_name)

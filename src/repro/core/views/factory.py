@@ -1,9 +1,9 @@
 """View generation from spec + provider result (the §5.1 pipeline).
 
 ``ViewFactory.build`` is the single seam where a provider's declared
-representation turns into a concrete view.  List-like payloads are ranked
-with the spec's effective weights before display, so Listing 1 retunes
-every generated view without code changes.
+representation turns into a concrete view.  List-like payloads and
+category groups are ranked with the spec's effective weights before
+display, so Listing 1 retunes every generated view without code changes.
 """
 
 from __future__ import annotations
@@ -29,7 +29,12 @@ CATEGORY_PREVIEW_SIZE = 5
 
 
 class ViewFactory:
-    """Builds concrete views from provider results."""
+    """Builds concrete views from provider results.
+
+    All ranking goes through the :class:`Ranker` kernel; score
+    breakdowns are built only for the cards a view shows (a capped
+    listing's head), and category groups rank to plain ``(id, score)``.
+    """
 
     def __init__(self, store: CatalogStore, spec: HumboldtSpec, ranker: Ranker):
         self.store = store
@@ -176,15 +181,15 @@ class ViewFactory:
             ]
             ranked = self.ranker.rank_ids(ids, weights)
             preview = tuple(
-                make_card(self.store, entry.artifact_id, score=entry.score)
-                for entry in ranked[:CATEGORY_PREVIEW_SIZE]
+                make_card(self.store, aid, score=score)
+                for aid, score in ranked[:CATEGORY_PREVIEW_SIZE]
             )
             groups.append(
                 CategoryGroup(
                     name=category.name,
                     total=len(ids),
                     preview=preview,
-                    all_ids=tuple(entry.artifact_id for entry in ranked),
+                    all_ids=tuple(aid for aid, _ in ranked),
                 )
             )
         return CategoriesView(groups=tuple(groups), **common)

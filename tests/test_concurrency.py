@@ -21,14 +21,19 @@ interleaving over the sqlite backend with concurrent readers.
 
 from __future__ import annotations
 
+import gc
+import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.catalog.model import Artifact, User
+from repro.catalog.model import Artifact, UsageEvent, User
 from repro.catalog.store import CatalogStore
+from repro.catalog.usage import UsageLog
 from repro.providers.base import (
     ProviderRequest,
     RequestContext,
@@ -672,3 +677,113 @@ class TestStreamingWritersUnderLoad:
                 fresh = registry.resolve(uri)(request)
                 assert served.artifact_ids() == fresh.artifact_ids(), uri
         engine.close()
+
+
+class TestUsageAggregatesUnderOverviews:
+    def test_first_events_while_overviews_loop(self):
+        """One thread records the first usage event on artifacts nobody
+        has touched while another regenerates overviews.  The overview's
+        favourites/most-viewed providers and the ranking-field snapshot
+        read the per-artifact usage aggregates, and a first event inserts
+        a new key into them mid-read; no reader may fail on that."""
+        from repro.synth import SynthConfig, generate_catalog
+        from repro.workbook.app import WorkbookApp
+
+        store = generate_catalog(
+            SynthConfig(seed=5, n_tables=1000, usage_events=3000)
+        )
+        app = WorkbookApp(store)
+        user = store.users()[0].id
+        fresh = [
+            aid for aid in store.artifact_ids()
+            if store.usage_stats(aid).view_count == 0
+            and not store.usage_stats(aid).favorited_by
+        ]
+        assert len(fresh) > 1000
+        done = threading.Event()
+        failures: list = []
+        overviews = [0]
+
+        def writer() -> None:
+            try:
+                for aid in fresh:
+                    store.record(aid, user, "view")
+                    time.sleep(0.0005)
+            finally:
+                done.set()
+
+        def reader() -> None:
+            try:
+                while not done.is_set():
+                    app.interface.overview_tabs(user_id=user)
+                    failures.extend(app.interface.last_errors)
+                    overviews[0] += 1
+            except Exception as exc:  # noqa: BLE001 - the test's verdict
+                failures.append(repr(exc))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=reader),
+                       threading.Thread(target=writer)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+            app.close()
+        assert not any(thread.is_alive() for thread in threads)
+        assert not failures, failures[:3]
+        assert overviews[0] > 0
+
+    @pytest.mark.parametrize("reader", ["all_stats", "recent_for_user"])
+    def test_collection_inside_a_copy_cannot_let_a_writer_in(self, reader):
+        """Copying a dict is not atomic on its own: a garbage collection
+        triggered inside the copy runs finalizers, and those let other
+        threads run.  Here every collection runs one that starts a writer
+        recording a first event and waits for it, until one wait times
+        out (the writer is held off).  The copy must never see a key
+        arrive mid-iteration."""
+        log = UsageLog()
+        for index in range(2000):
+            log.record(UsageEvent(f"a-{index}", "u", "view", 1.0))
+        writers: list[threading.Thread] = []
+        stop = threading.Event()
+
+        class Finalized:
+            def __init__(self) -> None:
+                self.cycle = self
+
+            def __del__(self) -> None:
+                if stop.is_set() or len(writers) >= 50:
+                    return
+                event = UsageEvent(f"new-{len(writers)}", "u", "view", 2.0)
+                writer = threading.Thread(
+                    target=log.record, args=(event,), daemon=True
+                )
+                writers.append(writer)
+                writer.start()
+                writer.join(timeout=0.05)
+                if writer.is_alive():
+                    stop.set()
+                else:
+                    Finalized()
+
+        gc.collect()
+        threshold = gc.get_threshold()
+        Finalized()
+        gc.set_threshold(1, 10**9, 10**9)  # young collections only
+        try:
+            if reader == "all_stats":
+                log.all_stats()
+            else:
+                log.recent_for_user("u")
+        finally:
+            gc.set_threshold(*threshold)
+            stop.set()
+        for writer in writers:
+            writer.join(timeout=10)
+        assert not any(writer.is_alive() for writer in writers)
+        assert len(writers) > 1
+        assert len(log.all_stats()) == 2000 + len(writers)

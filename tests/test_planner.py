@@ -145,7 +145,8 @@ class TestPlannedMatchesNaive:
         ranker = evaluator.ranker
         full = ranker.rank_ids(ids, weights)
         lazy = ranker.top_k(ids, weights, 15)
-        assert lazy == full[:15]
+        assert [(e.artifact_id, e.score) for e in lazy] == full[:15]
+        assert lazy == [ranker.score(aid, weights) for aid, _ in full[:15]]
 
 
 # -- estimate() sources ----------------------------------------------------

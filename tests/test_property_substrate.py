@@ -244,4 +244,4 @@ class TestRankingProperties:
         ranked = ranker.rank_ids(
             ["low", "high"], [RankingWeight("views", weight)]
         )
-        assert ranked[0].artifact_id == "high"
+        assert ranked[0][0] == "high"

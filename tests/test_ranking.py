@@ -1,5 +1,7 @@
 """Tests for the ranking engine (Listing 1 semantics)."""
 
+import math
+
 import pytest
 
 from repro.core.ranking import RankedArtifact, Ranker, combine_rankings
@@ -68,7 +70,26 @@ class TestRankItems:
 
     def test_rank_ids(self, ranker):
         ranked = ranker.rank_ids(["t-web", "t-orders"], [W_VIEWS])
-        assert ranked[0].artifact_id == "t-orders"
+        assert ranked == [("t-orders", 10.5), ("t-web", 0.0)]
+
+
+class TestNonFiniteAttachedFields:
+    """NaN and ±inf in a provider-attached field count as 0.0, the same
+    finite-number rule the resolver applies to ``extra`` values."""
+
+    def test_top_k_items_agrees_with_rank_items(self, ranker, tiny_store):
+        weight = RankingWeight("matched", 1.0)
+        values = [3.0, math.nan, 1.0, 5.0, 2.0, math.inf]
+        items = [
+            ScoredArtifact(aid, fields={"matched": value})
+            for aid, value in zip(tiny_store.artifact_ids(), values)
+        ]
+        full = ranker.rank_items(items, [weight])
+        assert ranker.top_k_items(items, [weight], 5) == full[:5]
+        assert [(r.artifact_id, r.score) for r in full] == [
+            ("t-web", 5.0), ("d-sales", 3.0), ("v-orders", 2.0),
+            ("t-orders", 1.0), ("t-customers", 0.0), ("w-q1", 0.0),
+        ]
 
 
 class TestLiveRanking:
@@ -101,8 +122,8 @@ class TestRerankingWithoutCode:
         by_badge = ranker.rank_ids(
             ["d-sales", "t-customers"], [RankingWeight("endorsed", 10.0)]
         )
-        assert by_views[0].artifact_id == "t-customers"
-        assert by_badge[0].artifact_id == "d-sales"
+        assert by_views[0][0] == "t-customers"
+        assert by_badge[0][0] == "d-sales"
 
 
 class TestCombine:
