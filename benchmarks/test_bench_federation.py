@@ -192,8 +192,8 @@ def _run_slow_member(store, degradation_on: bool) -> dict:
         "mean_ms": sum(latencies) / len(latencies),
         "degraded_searches": degraded,
         "partial_searches": partial,
-        "breaker_opens": stats.breaker_opens,
-        "breaker_rejections": stats.breaker_rejections,
+        "breaker_opens": stats.total("breaker_opens"),
+        "breaker_rejections": stats.total("breaker_rejections"),
     }
     federation.close()
     return row

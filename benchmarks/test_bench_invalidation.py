@@ -85,10 +85,10 @@ def _run_workload(app, store, queries, iterations, oracle=None) -> dict:
     return {
         "iterations": iterations,
         "cache_hit_rate": app.stats.cache_hit_rate,
-        "cache_hits": app.stats.cache_hits,
-        "cache_misses": app.stats.cache_misses,
-        "endpoint_calls": app.stats.total_calls,
-        "invalidations": app.stats.invalidations,
+        "cache_hits": app.stats.total("cache_hits"),
+        "cache_misses": app.stats.total("cache_misses"),
+        "endpoint_calls": app.stats.total("calls"),
+        "invalidations": app.stats.total("invalidations"),
         "stale_results": stale,
     }
 

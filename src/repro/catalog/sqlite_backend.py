@@ -198,12 +198,15 @@ class _SqliteUsage(UsageLog):
 
     def record(self, event: UsageEvent) -> None:
         self._ensure_stats()
-        self._fold(event)
-        self._pending.append(event)
-        if self._events_loaded:
-            self._events.append(event)
-        self._dirty_stats.add(event.artifact_id)
-        self._dirty_recents.add(event.user_id)
+        # flush() drains, then clears, these buffers under the backend
+        # lock; an event appended in between would never be persisted.
+        with self._sql._lock:
+            self._fold(event)
+            self._pending.append(event)
+            if self._events_loaded:
+                self._events.append(event)
+            self._dirty_stats.add(event.artifact_id)
+            self._dirty_recents.add(event.user_id)
 
     def stats(self, artifact_id: str):
         self._ensure_stats()
@@ -305,7 +308,8 @@ class _SqliteLineage(LineageGraph):
 
     def add_edge(self, src: str, dst: str, kind: str = "derives") -> None:
         super().add_edge(src, dst, kind)
-        self._pending.append((src, dst, kind))
+        with self._sql._lock:  # as in _SqliteUsage.record
+            self._pending.append((src, dst, kind))
 
     def _flush(self, conn: sqlite3.Connection) -> None:
         if self._pending:

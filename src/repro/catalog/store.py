@@ -82,6 +82,9 @@ class CatalogStore:
         #: N usage events bumps once, crediting N-1 here.
         self.coalesced_bumps = 0
         self._coalesce_lock = threading.Lock()
+        # Serialises grant_badge's read-modify-write: two concurrent grants
+        # on one artifact must not overwrite each other's updated copy.
+        self._artifact_write_lock = threading.Lock()
         # Edges added straight through ``store.lineage`` must hit the
         # event log too; the graph exposes a per-edge hook for exactly
         # this (fires after the edge lands, before the version bump).
@@ -478,16 +481,17 @@ class CatalogStore:
         self, artifact_id: str, badge: str, granted_by: str, at: float | None = None
     ) -> Artifact:
         """Attach a badge to an artifact, reindexing it."""
-        artifact = self.artifact(artifact_id)
-        self.user(granted_by)  # validate grantor exists
-        assignment = BadgeAssignment(
-            badge=badge,
-            granted_by=granted_by,
-            granted_at=self.clock.now() if at is None else at,
-        )
-        updated = artifact.with_badge(assignment)
-        self._token_cache.pop(artifact_id, None)
-        self._backend.put_artifact(updated)
+        with self._artifact_write_lock:
+            artifact = self.artifact(artifact_id)
+            self.user(granted_by)  # validate grantor exists
+            assignment = BadgeAssignment(
+                badge=badge,
+                granted_by=granted_by,
+                granted_at=self.clock.now() if at is None else at,
+            )
+            updated = artifact.with_badge(assignment)
+            self._token_cache.pop(artifact_id, None)
+            self._backend.put_artifact(updated)
         # A badge edits an existing artifact in place: non-monotonic
         # for anything caching artifact payloads, hence added=False.
         self._log_event(EntitiesEventRecord(artifact_id, added=False))

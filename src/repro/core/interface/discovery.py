@@ -249,7 +249,7 @@ class DiscoveryInterface:
 
         Merges explicit inputs over ambient ones and enforces required
         inputs; callers (exploration) batch the returned requests through
-        :meth:`ExecutionEngine.fetch_many`.
+        :meth:`ExecutionEngine.execute_many`.
         """
         provider = self.spec.provider(provider_name)
         inputs = dict(inputs or {})

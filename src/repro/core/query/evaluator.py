@@ -413,7 +413,7 @@ class QueryEvaluator:
                 if term in state.warmed:
                     continue  # its fetch already ran during prefetch
                 endpoint, _ = self._leaf_call(term, context)
-                self.engine.stats.record_fetch_skipped(endpoint)
+                self.engine.stats.count("fetches_skipped", endpoint)
                 state.fetches_skipped += 1
 
     def _eval_or(

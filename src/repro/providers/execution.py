@@ -50,10 +50,10 @@ Configuration is a layered, frozen :class:`ExecutionPolicy`: global
 defaults (:meth:`ExecutionPolicy.defaults`), per-deployment tweaks
 (:meth:`ExecutionPolicy.replace`) and per-endpoint overrides
 (:meth:`ExecutionPolicy.for_endpoint`), resolved to a flat
-:class:`EndpointPolicy` per endpoint at fetch time.  Fetches uniformly
-return a :class:`FetchOutcome` envelope (ok | error | stale | skipped);
-:meth:`ExecutionEngine.fetch` remains as a raise-through compatibility
-shim.
+:class:`EndpointPolicy` per endpoint at fetch time.  Fetches go through
+:meth:`ExecutionEngine.execute` / :meth:`ExecutionEngine.execute_many`
+and uniformly return a :class:`FetchOutcome` envelope
+(ok | error | stale | skipped); provider failures never raise.
 
 The registry stays pure name→callable resolution; this module is the seam
 future scaling work (sharding, async backends, remote endpoints) plugs
@@ -68,7 +68,7 @@ import zlib
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from dataclasses import replace as _dataclass_replace
 from enum import Enum
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
@@ -218,23 +218,66 @@ class EndpointStatsSnapshot:
         return summarize_latencies(self.latencies_ms)
 
 
+#: The ``--stats`` table's counter columns: (header, counter field, width).
+_STATS_COLUMNS: tuple[tuple[str, str, int], ...] = (
+    ("calls", "calls", 6),
+    ("hits", "cache_hits", 6),
+    ("miss", "cache_misses", 6),
+    ("dedup", "dedups", 6),
+    ("sflt", "single_flights", 6),
+    ("err", "errors", 5),
+    ("retry", "retries", 6),
+    ("trunc", "truncations", 6),
+    ("inval", "invalidations", 6),
+    ("patch", "delta_patches", 6),
+    ("dfall", "delta_fallbacks", 6),
+    ("est", "estimates", 5),
+    ("skip", "fetches_skipped", 6),
+    ("stale", "stale_served", 6),
+    ("dskip", "deadline_skips", 6),
+    ("brej", "breaker_rejections", 5),
+)
+
+
+def _stats_row(label: str, counts: dict) -> str:
+    """One ``--stats`` row: an endpoint's (or the totals') counter columns."""
+    return f"{label:<32}" + "".join(
+        f"{counts[fname]:>{width}}" for _, fname, width in _STATS_COLUMNS
+    )
+
+
+def _endpoint_series(collected: dict, uri: str) -> tuple[dict, dict | None]:
+    """*uri*'s counters plus breaker state from one registry collection,
+    and its latency histogram series (None if it never invoked)."""
+    key = (uri,)
+    entry: dict = {
+        fname: int(collected[f"engine_{fname}_total"]["series"].get(key, 0))
+        for fname, _ in _COUNTER_FIELDS
+    }
+    state = collected["engine_breaker_state"]["series"].get(key, 0.0)
+    entry["breaker_state"] = _BREAKER_STATE_NAMES.get(state, "closed")
+    return entry, collected["engine_invoke_latency_ms"]["series"].get(key)
+
+
 class ExecutionStats:
     """Thread-safe per-endpoint execution metrics — a thin view over a
     :class:`repro.obs.MetricsRegistry`.
 
-    Every ``record_*`` method lands on a labelled metric family in
-    :attr:`metrics`: counters ``engine_<field>_total{endpoint=...}``, the
-    ``engine_invoke_latency_ms`` histogram (fixed buckets plus an exact
-    exemplar window) and the ``engine_breaker_state`` gauge.  The reading
-    side — the totals properties, :meth:`endpoint`, :meth:`snapshot`,
-    :meth:`render` — derives everything from **one** registry collection,
-    so the stats table, the health report and the Prometheus exposition
+    Every write lands on a labelled metric family in :attr:`metrics`:
+    :meth:`count` bumps a counter ``engine_<field>_total{endpoint=...}``
+    (one per :data:`_COUNTER_FIELDS` entry), :meth:`record_call` also
+    feeds the ``engine_invoke_latency_ms`` histogram (fixed buckets plus
+    an exact exemplar window), and :meth:`record_breaker_state` sets the
+    ``engine_breaker_state`` gauge.  The reading side — :meth:`total`,
+    :meth:`endpoint`, :meth:`snapshot`, :meth:`render` — derives
+    everything from **one** registry collection, so the stats table, the
+    health report and the Prometheus exposition
     (``self.metrics.render_prometheus()``) cannot disagree about the same
     fetches.
 
     ``calls`` counts actual endpoint invocations (each retry attempt is
     an invocation), so "a repeated operation performed zero duplicate
-    fetches" is assertable as an unchanged ``total_calls``.
+    fetches" is assertable as an unchanged ``total("calls")``.
     """
 
     def __init__(self, metrics: "MetricsRegistry | None" = None) -> None:
@@ -264,144 +307,33 @@ class ExecutionStats:
 
     # -- recording (called by the engine) ---------------------------------
 
+    def count(self, field: str, endpoint: str, n: int = 1) -> None:
+        """Add *n* to *endpoint*'s counter *field* (a :data:`_COUNTER_FIELDS`
+        name; invocations go through :meth:`record_call` instead)."""
+        self._counters[field].labels(endpoint).inc(n)
+
     def record_call(self, endpoint: str, latency_ms: float) -> None:
         self._counters["calls"].labels(endpoint).inc()
         self._latency.labels(endpoint).observe(latency_ms)
 
-    def record_error(self, endpoint: str) -> None:
-        self._counters["errors"].labels(endpoint).inc()
-
-    def record_retry(self, endpoint: str) -> None:
-        self._counters["retries"].labels(endpoint).inc()
-
-    def record_cache_hit(self, endpoint: str) -> None:
-        self._counters["cache_hits"].labels(endpoint).inc()
-
-    def record_cache_miss(self, endpoint: str) -> None:
-        self._counters["cache_misses"].labels(endpoint).inc()
-
-    def record_dedup(self, endpoint: str) -> None:
-        self._counters["dedups"].labels(endpoint).inc()
-
-    def record_single_flight(self, endpoint: str) -> None:
-        self._counters["single_flights"].labels(endpoint).inc()
-
-    def record_truncation(self, endpoint: str) -> None:
-        self._counters["truncations"].labels(endpoint).inc()
-
-    def record_invalidation(self, endpoint: str, dropped: int = 1) -> None:
-        self._counters["invalidations"].labels(endpoint).inc(dropped)
-
-    def record_delta_patch(self, endpoint: str) -> None:
-        self._counters["delta_patches"].labels(endpoint).inc()
-
-    def record_delta_fallback(self, endpoint: str) -> None:
-        self._counters["delta_fallbacks"].labels(endpoint).inc()
-
     def record_coalesced_bumps(self, saved: int) -> None:
         self._coalesced.labels().inc(saved)
-
-    def record_estimate(self, endpoint: str) -> None:
-        self._counters["estimates"].labels(endpoint).inc()
-
-    def record_fetch_skipped(self, endpoint: str, count: int = 1) -> None:
-        self._counters["fetches_skipped"].labels(endpoint).inc(count)
-
-    def record_stale_served(self, endpoint: str) -> None:
-        self._counters["stale_served"].labels(endpoint).inc()
-
-    def record_deadline_skip(self, endpoint: str) -> None:
-        self._counters["deadline_skips"].labels(endpoint).inc()
-
-    def record_breaker_rejection(self, endpoint: str) -> None:
-        self._counters["breaker_rejections"].labels(endpoint).inc()
-
-    def record_breaker_open(self, endpoint: str) -> None:
-        self._counters["breaker_opens"].labels(endpoint).inc()
 
     def record_breaker_state(self, endpoint: str, state: str) -> None:
         self._breaker.labels(endpoint).set(_BREAKER_STATE_CODES.get(state, 0.0))
 
     # -- reading -----------------------------------------------------------
 
-    def _total(self, fname: str) -> int:
-        return int(self._counters[fname].total())
-
-    @property
-    def total_calls(self) -> int:
-        return self._total("calls")
-
-    @property
-    def total_errors(self) -> int:
-        return self._total("errors")
-
-    @property
-    def total_retries(self) -> int:
-        return self._total("retries")
-
-    @property
-    def cache_hits(self) -> int:
-        return self._total("cache_hits")
-
-    @property
-    def cache_misses(self) -> int:
-        return self._total("cache_misses")
-
-    @property
-    def dedups(self) -> int:
-        return self._total("dedups")
-
-    @property
-    def single_flights(self) -> int:
-        return self._total("single_flights")
-
-    @property
-    def truncations(self) -> int:
-        return self._total("truncations")
-
-    @property
-    def invalidations(self) -> int:
-        return self._total("invalidations")
-
-    @property
-    def delta_patches(self) -> int:
-        return self._total("delta_patches")
-
-    @property
-    def delta_fallbacks(self) -> int:
-        return self._total("delta_fallbacks")
-
-    @property
-    def coalesced_bumps(self) -> int:
-        return int(self._coalesced.total())
-
-    @property
-    def estimates(self) -> int:
-        return self._total("estimates")
-
-    @property
-    def fetches_skipped(self) -> int:
-        return self._total("fetches_skipped")
-
-    @property
-    def stale_served(self) -> int:
-        return self._total("stale_served")
-
-    @property
-    def deadline_skips(self) -> int:
-        return self._total("deadline_skips")
-
-    @property
-    def breaker_rejections(self) -> int:
-        return self._total("breaker_rejections")
-
-    @property
-    def breaker_opens(self) -> int:
-        return self._total("breaker_opens")
+    def total(self, field: str) -> int:
+        """One counter summed over every endpoint; ``"coalesced_bumps"``
+        reads the unlabelled coalesced-bumps counter."""
+        if field == "coalesced_bumps":
+            return int(self._coalesced.total())
+        return int(self._counters[field].total())
 
     @property
     def cache_hit_rate(self) -> float:
-        hits, misses = self.cache_hits, self.cache_misses
+        hits, misses = self.total("cache_hits"), self.total("cache_misses")
         return hits / (hits + misses) if hits + misses else 0.0
 
     def endpoint(self, uri: str) -> EndpointStatsSnapshot:
@@ -411,17 +343,9 @@ class ExecutionStats:
         snapshot describes the same instant.
         """
         collected = self.metrics.collect()
-        key = (uri,)
-        values = {
-            fname: int(collected[f"engine_{fname}_total"]["series"].get(key, 0))
-            for fname, _ in _COUNTER_FIELDS
-        }
-        hist = collected["engine_invoke_latency_ms"]["series"].get(key)
-        state = collected["engine_breaker_state"]["series"].get(key, 0.0)
+        counters, hist = _endpoint_series(collected, uri)
         return EndpointStatsSnapshot(
-            breaker_state=_BREAKER_STATE_NAMES.get(state, "closed"),
-            latencies_ms=tuple(hist["samples"]) if hist else (),
-            **values,
+            latencies_ms=tuple(hist["samples"]) if hist else (), **counters
         )
 
     def snapshot(self) -> dict:
@@ -438,14 +362,7 @@ class ExecutionStats:
         uris.update(k[0] for k in collected["engine_invoke_latency_ms"]["series"])
         endpoints: dict[str, dict] = {}
         for uri in sorted(uris):
-            key = (uri,)
-            entry: dict = {
-                fname: int(collected[f"engine_{fname}_total"]["series"].get(key, 0))
-                for fname, _ in _COUNTER_FIELDS
-            }
-            state = collected["engine_breaker_state"]["series"].get(key, 0.0)
-            entry["breaker_state"] = _BREAKER_STATE_NAMES.get(state, "closed")
-            hist = collected["engine_invoke_latency_ms"]["series"].get(key)
+            entry, hist = _endpoint_series(collected, uri)
             entry["latency_ms"] = (
                 dict(hist["summary"]) if hist else dict(_ZERO_LATENCY_SUMMARY)
             )
@@ -463,41 +380,19 @@ class ExecutionStats:
         """Plain-text stats table for the CLI's ``--stats`` flag."""
         snap = self.snapshot()
         lines = [
-            f"{'endpoint':<32}{'calls':>6}{'hits':>6}{'miss':>6}{'dedup':>6}"
-            f"{'sflt':>6}"
-            f"{'err':>5}{'retry':>6}{'trunc':>6}{'inval':>6}"
-            f"{'patch':>6}{'dfall':>6}"
-            f"{'est':>5}{'skip':>6}"
-            f"{'stale':>6}{'dskip':>6}{'brej':>5}"
-            f"{'p50 ms':>8}{'p95 ms':>8}"
+            f"{'endpoint':<32}"
+            + "".join(f"{head:>{width}}" for head, _, width in _STATS_COLUMNS)
+            + f"{'p50 ms':>8}{'p95 ms':>8}"
         ]
         for uri, s in snap["endpoints"].items():
             lat = s["latency_ms"]
             lines.append(
-                f"{uri:<32}{s['calls']:>6}{s['cache_hits']:>6}"
-                f"{s['cache_misses']:>6}{s['dedups']:>6}"
-                f"{s['single_flights']:>6}"
-                f"{s['errors']:>5}{s['retries']:>6}"
-                f"{s['truncations']:>6}{s['invalidations']:>6}"
-                f"{s['delta_patches']:>6}{s['delta_fallbacks']:>6}"
-                f"{s['estimates']:>5}{s['fetches_skipped']:>6}"
-                f"{s['stale_served']:>6}{s['deadline_skips']:>6}"
-                f"{s['breaker_rejections']:>5}"
-                f"{lat['p50']:>8.2f}{lat['p95']:>8.2f}"
+                _stats_row(uri, s) + f"{lat['p50']:>8.2f}{lat['p95']:>8.2f}"
             )
-        t = snap["totals"]
+        lines.append(_stats_row("TOTAL", snap["totals"]))
         lines.append(
-            f"{'TOTAL':<32}{t['calls']:>6}{t['cache_hits']:>6}"
-            f"{t['cache_misses']:>6}{t['dedups']:>6}"
-            f"{t['single_flights']:>6}"
-            f"{t['errors']:>5}{t['retries']:>6}"
-            f"{t['truncations']:>6}{t['invalidations']:>6}"
-            f"{t['delta_patches']:>6}{t['delta_fallbacks']:>6}"
-            f"{t['estimates']:>5}{t['fetches_skipped']:>6}"
-            f"{t['stale_served']:>6}{t['deadline_skips']:>6}"
-            f"{t['breaker_rejections']:>5}"
+            f"coalesced version bumps: {snap['totals']['coalesced_bumps']}"
         )
-        lines.append(f"coalesced version bumps: {t['coalesced_bumps']}")
         return "\n".join(lines)
 
     def reset(self) -> None:
@@ -598,8 +493,8 @@ class EndpointPolicy:
     breaker_half_open_max_calls: int = 1
 
 
-#: Legacy flat knob -> (policy group, field) for the compatibility shim
-#: and for :meth:`ExecutionPolicy.replace`'s flat spelling.
+#: Flat knob -> (policy group, field): :meth:`ExecutionPolicy.replace`'s
+#: flat spelling, and the source of :meth:`ExecutionPolicy.effective`.
 _FLAT_KNOBS: dict[str, tuple[str, str]] = {
     "attempts": ("retry", "attempts"),
     "backoff_base_ms": ("retry", "backoff_base_ms"),
@@ -618,19 +513,7 @@ _FLAT_KNOBS: dict[str, tuple[str, str]] = {
 
 #: Knobs that may differ per endpoint (the fields of EndpointPolicy).
 _ENDPOINT_KNOBS: frozenset[str] = frozenset(
-    {
-        "attempts",
-        "backoff_base_ms",
-        "backoff_multiplier",
-        "backoff_jitter",
-        "cache_ttl_s",
-        "serve_stale",
-        "stale_grace_s",
-        "breaker_enabled",
-        "breaker_failure_threshold",
-        "breaker_reset_timeout_s",
-        "breaker_half_open_max_calls",
-    }
+    f.name for f in fields(EndpointPolicy)
 )
 
 #: Frozen per-endpoint overrides: (endpoint, ((knob, value), ...)) pairs,
@@ -648,7 +531,7 @@ def _freeze_overrides(
     return tuple(sorted((name, ov) for name, ov in items if ov))
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class ExecutionPolicy:
     """Layered, immutable engine configuration.
 
@@ -664,60 +547,22 @@ class ExecutionPolicy:
     ``replace`` accepts whole groups (``retry=RetryPolicy(...)``) or the
     flat knob spellings of :data:`_FLAT_KNOBS`; ``for_endpoint`` layers
     per-endpoint overrides on top of the globals.  Every method returns a
-    new policy — instances are frozen and safely shareable.
-
-    **Removed:** the pre-redesign flat constructor
-    (``ExecutionPolicy(attempts=3, cache_ttl_s=0)``) — deprecated with a
-    warning through the redesign window — now raises ``TypeError`` with
-    a migration hint.  Spell it
-    ``ExecutionPolicy.defaults().replace(attempts=3, cache_ttl_s=0)``.
+    new policy — instances are frozen and safely shareable.  The
+    constructor takes only the fields below; flat knobs
+    (``ExecutionPolicy(attempts=3)``) are a ``TypeError``.
     """
 
-    retry: RetryPolicy
-    cache: CachePolicy
-    breaker: BreakerPolicy
-    deadline: DeadlinePolicy
+    retry: RetryPolicy = field(default_factory=RetryPolicy)
+    cache: CachePolicy = field(default_factory=CachePolicy)
+    breaker: BreakerPolicy = field(default_factory=BreakerPolicy)
+    deadline: DeadlinePolicy = field(default_factory=DeadlinePolicy)
     #: Thread-pool width for :meth:`ExecutionEngine.execute_many`;
     #: 1 degrades to serial execution.
-    max_workers: int
-    overrides: OverrideMap
+    max_workers: int = 8
+    overrides: OverrideMap = ()
 
-    def __init__(
-        self,
-        retry: RetryPolicy | None = None,
-        cache: CachePolicy | None = None,
-        breaker: BreakerPolicy | None = None,
-        deadline: DeadlinePolicy | None = None,
-        max_workers: int = 8,
-        overrides: "OverrideMap | dict[str, dict[str, object]]" = (),
-        **flat: object,
-    ):
-        if flat:
-            unknown = sorted(set(flat) - set(_FLAT_KNOBS))
-            if unknown:
-                raise TypeError(
-                    "unknown ExecutionPolicy knob(s): " + ", ".join(unknown)
-                )
-            # The legacy flat-constructor shim (deprecated through the
-            # policy-redesign window) is gone; fail with the migration.
-            raise TypeError(
-                "flat ExecutionPolicy(...) kwargs were removed; use "
-                "ExecutionPolicy.defaults().replace("
-                + ", ".join(f"{k}=..." for k in sorted(flat))
-                + ")"
-            )
-        groups: dict[str, object] = {
-            "retry": retry if retry is not None else RetryPolicy(),
-            "cache": cache if cache is not None else CachePolicy(),
-            "breaker": breaker if breaker is not None else BreakerPolicy(),
-            "deadline": deadline if deadline is not None else DeadlinePolicy(),
-        }
-        object.__setattr__(self, "retry", groups["retry"])
-        object.__setattr__(self, "cache", groups["cache"])
-        object.__setattr__(self, "breaker", groups["breaker"])
-        object.__setattr__(self, "deadline", groups["deadline"])
-        object.__setattr__(self, "max_workers", int(max_workers))
-        object.__setattr__(self, "overrides", _freeze_overrides(overrides))
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "overrides", _freeze_overrides(self.overrides))
 
     # -- construction ------------------------------------------------------
 
@@ -735,36 +580,17 @@ class ExecutionPolicy:
         Accepts whole groups (``retry=``, ``cache=``, ``breaker=``,
         ``deadline=``), engine-wide settings (``max_workers=``,
         ``overrides=``), or any flat knob from :data:`_FLAT_KNOBS`
-        (``attempts=3``, ``cache_ttl_s=0`` …) — the layered spelling of
-        the deprecated flat constructor.
+        (``attempts=3``, ``cache_ttl_s=0`` …), applied on top of the
+        groups.  Any other name is a ``TypeError``.
         """
-        groups: dict[str, object] = {
-            "retry": self.retry,
-            "cache": self.cache,
-            "breaker": self.breaker,
-            "deadline": self.deadline,
-        }
-        max_workers = changes.pop("max_workers", self.max_workers)
-        overrides = changes.pop("overrides", self.overrides)
-        for group_name in tuple(groups):
-            if group_name in changes:
-                groups[group_name] = changes.pop(group_name)
         by_group: dict[str, dict[str, object]] = {}
-        for knob, value in changes.items():
-            if knob not in _FLAT_KNOBS:
-                raise TypeError(f"unknown policy knob {knob!r}")
+        for knob in [k for k in changes if k in _FLAT_KNOBS]:
             group_name, field_name = _FLAT_KNOBS[knob]
-            by_group.setdefault(group_name, {})[field_name] = value
+            by_group.setdefault(group_name, {})[field_name] = changes.pop(knob)
         for group_name, kwargs in by_group.items():
-            groups[group_name] = _dataclass_replace(groups[group_name], **kwargs)
-        return ExecutionPolicy(
-            retry=groups["retry"],
-            cache=groups["cache"],
-            breaker=groups["breaker"],
-            deadline=groups["deadline"],
-            max_workers=max_workers,
-            overrides=overrides,
-        )
+            group = changes.get(group_name, getattr(self, group_name))
+            changes[group_name] = _dataclass_replace(group, **kwargs)
+        return _dataclass_replace(self, **changes)
 
     def for_endpoint(self, endpoint: str, **knobs: object) -> "ExecutionPolicy":
         """A copy with per-endpoint *knobs* layered over the globals.
@@ -784,17 +610,8 @@ class ExecutionPolicy:
                     )
                 raise TypeError(f"unknown policy knob {knob!r}")
         current = {name: dict(pairs) for name, pairs in self.overrides}
-        merged = current.get(endpoint, {})
-        merged.update(knobs)
-        current[endpoint] = merged
-        return ExecutionPolicy(
-            retry=self.retry,
-            cache=self.cache,
-            breaker=self.breaker,
-            deadline=self.deadline,
-            max_workers=self.max_workers,
-            overrides=current,
-        )
+        current.setdefault(endpoint, {}).update(knobs)
+        return _dataclass_replace(self, overrides=current)
 
     def endpoint_overrides(self, endpoint: str) -> dict[str, object]:
         """The raw per-endpoint override mapping (empty if none)."""
@@ -806,47 +623,12 @@ class ExecutionPolicy:
     def effective(self, endpoint: str) -> EndpointPolicy:
         """The flat resolved policy *endpoint*'s fetches run under."""
         knobs: dict[str, object] = {
-            "attempts": self.retry.attempts,
-            "backoff_base_ms": self.retry.backoff_base_ms,
-            "backoff_multiplier": self.retry.backoff_multiplier,
-            "backoff_jitter": self.retry.backoff_jitter,
-            "cache_ttl_s": self.cache.ttl_s,
-            "serve_stale": self.cache.serve_stale,
-            "stale_grace_s": self.cache.stale_grace_s,
-            "breaker_enabled": self.breaker.enabled,
-            "breaker_failure_threshold": self.breaker.failure_threshold,
-            "breaker_reset_timeout_s": self.breaker.reset_timeout_s,
-            "breaker_half_open_max_calls": self.breaker.half_open_max_calls,
+            knob: getattr(getattr(self, group_name), field_name)
+            for knob, (group_name, field_name) in _FLAT_KNOBS.items()
+            if knob in _ENDPOINT_KNOBS
         }
         knobs.update(self.endpoint_overrides(endpoint))
         return EndpointPolicy(**knobs)
-
-    # -- legacy read-through properties ------------------------------------
-
-    @property
-    def attempts(self) -> int:
-        """Read-through to ``retry.attempts`` (pre-layering spelling)."""
-        return self.retry.attempts
-
-    @property
-    def backoff_base_ms(self) -> float:
-        """Read-through to ``retry.backoff_base_ms``."""
-        return self.retry.backoff_base_ms
-
-    @property
-    def backoff_multiplier(self) -> float:
-        """Read-through to ``retry.backoff_multiplier``."""
-        return self.retry.backoff_multiplier
-
-    @property
-    def cache_ttl_s(self) -> float:
-        """Read-through to ``cache.ttl_s``."""
-        return self.cache.ttl_s
-
-    @property
-    def cache_max_entries(self) -> int:
-        """Read-through to ``cache.max_entries``."""
-        return self.cache.max_entries
 
 
 _DEFAULT_POLICY: "ExecutionPolicy | None" = None
@@ -1318,18 +1100,18 @@ class ExecutionEngine:
             # in the engine and pays nothing for observability here.
             cached = self._lookup(key)
             if cached is not None:
-                self.stats.record_cache_hit(endpoint)
+                self.stats.count("cache_hits", endpoint)
                 return FetchOutcome(endpoint, result=cached)
-            self.stats.record_cache_miss(endpoint)
+            self.stats.count("cache_misses", endpoint)
             return self._run_guarded(endpoint, request, key, deadline)
         with tracer.span("engine.execute") as sp:
             sp.set("endpoint", endpoint)
             cached = self._lookup(key)
             if cached is not None:
-                self.stats.record_cache_hit(endpoint)
+                self.stats.count("cache_hits", endpoint)
                 sp.set("cache", "hit")
                 return FetchOutcome(endpoint, result=cached)
-            self.stats.record_cache_miss(endpoint)
+            self.stats.count("cache_misses", endpoint)
             sp.set("cache", "miss")
             outcome = self._run_guarded(endpoint, request, key, deadline)
             sp.set("outcome", outcome.status.value)
@@ -1362,17 +1144,17 @@ class ExecutionEngine:
                     # miss's single execution — counting it as a hit inflated
                     # cache_hit_rate, so it gets its own counter.
                     if key in hit_keys:
-                        self.stats.record_cache_hit(endpoint)
+                        self.stats.count("cache_hits", endpoint)
                     else:
-                        self.stats.record_dedup(endpoint)
+                        self.stats.count("dedups", endpoint)
                     continue
                 cached = self._lookup(key)
                 if cached is not None:
-                    self.stats.record_cache_hit(endpoint)
+                    self.stats.count("cache_hits", endpoint)
                     hit_keys.add(key)
                     outcomes[key] = FetchOutcome(endpoint, result=cached)
                 else:
-                    self.stats.record_cache_miss(endpoint)
+                    self.stats.count("cache_misses", endpoint)
                     outcomes[key] = FetchOutcome(endpoint)  # placeholder
                     pending.append((key, endpoint, request))
 
@@ -1448,29 +1230,6 @@ class ExecutionEngine:
                 batch_sp.set("joined", len(to_join))
             return [outcomes[key] for key in keys]
 
-    def fetch(self, endpoint: str, request: ProviderRequest) -> ProviderResult:
-        """**Deprecated** raise-through shim over :meth:`execute`.
-
-        Pre-redesign call sites expect a bare :class:`ProviderResult` and
-        a raised :class:`~repro.errors.ProviderError` on failure; this
-        preserves that contract (a ``skipped`` outcome raises its
-        :class:`~repro.errors.CircuitOpenError` /
-        :class:`~repro.errors.DeadlineExceededError`).  The stale-vs-ok
-        distinction is lost — callers that care use :meth:`execute`.
-        """
-        outcome = self.execute(endpoint, request)
-        if outcome.result is not None:
-            return outcome.result
-        raise outcome.error
-
-    def fetch_many(
-        self,
-        calls: Sequence[tuple[str, ProviderRequest]],
-        deadline: Deadline | None = None,
-    ) -> list[FetchOutcome]:
-        """Alias of :meth:`execute_many` (the pre-redesign name)."""
-        return self.execute_many(calls, deadline=deadline)
-
     def estimate(self, endpoint: str, request: ProviderRequest) -> int | None:
         """Predict the fetch's result cardinality without invoking it.
 
@@ -1493,7 +1252,7 @@ class ExecutionEngine:
         key = request_key(endpoint, request)
         cached = self._lookup(key)
         if cached is not None:
-            self.stats.record_estimate(endpoint)
+            self.stats.count("estimates", endpoint)
             return len(cached.artifact_ids())
         getter = getattr(self.registry, "estimator", None)
         estimator = getter(endpoint) if callable(getter) else None
@@ -1511,7 +1270,7 @@ class ExecutionEngine:
             return None
         if value is None:
             return None
-        self.stats.record_estimate(endpoint)
+        self.stats.count("estimates", endpoint)
         return max(0, int(value))
 
     @contextmanager
@@ -1891,7 +1650,7 @@ class ExecutionEngine:
                 deps = dependencies[endpoint]
                 if deps is None or deps & hard:
                     del self._cache[key]
-                    self.stats.record_invalidation(endpoint)
+                    self.stats.count("invalidations", endpoint)
                     dropped_n += 1
                     continue
                 if not (deps & patchable):
@@ -1901,7 +1660,7 @@ class ExecutionEngine:
                 patcher = patchers[endpoint]
                 if patcher is None:
                     del self._cache[key]
-                    self.stats.record_invalidation(endpoint)
+                    self.stats.count("invalidations", endpoint)
                     dropped_n += 1
                     continue
                 fresh_until, stale_until, result = entry
@@ -1911,13 +1670,13 @@ class ExecutionEngine:
                     patched = None
                 if patched is None:
                     del self._cache[key]
-                    self.stats.record_invalidation(endpoint)
-                    self.stats.record_delta_fallback(endpoint)
+                    self.stats.count("invalidations", endpoint)
+                    self.stats.count("delta_fallbacks", endpoint)
                     dropped_n += 1
                     continue
                 if patched is not result:
                     self._cache[key] = (fresh_until, stale_until, patched)
-                self.stats.record_delta_patch(endpoint)
+                self.stats.count("delta_patches", endpoint)
                 patched_n += 1
             if sp:
                 sp.set("domains", ",".join(sorted(changed)))
@@ -2039,7 +1798,7 @@ class ExecutionEngine:
                 # budget is spent: degrade exactly like a direct miss.
                 tenant = request.context.team_id
                 policy = self._policy_for(endpoint, tenant)
-                self.stats.record_deadline_skip(endpoint)
+                self.stats.count("deadline_skips", endpoint)
                 stale = self._stale_outcome(
                     endpoint, key, policy, "deadline exhausted"
                 )
@@ -2056,7 +1815,7 @@ class ExecutionEngine:
             # The leader died without publishing (a non-HumboldtError
             # escaped); fall back to fetching directly.
             return self._run_gated(endpoint, request, key, deadline)
-        self.stats.record_single_flight(endpoint)
+        self.stats.count("single_flights", endpoint)
         if outcome.fresh and outcome.result is not None:
             stack = self._memo_stack()
             if stack:
@@ -2094,7 +1853,7 @@ class ExecutionEngine:
             base = policy if not tenant else self._policy_for(endpoint)
             now = self._timer()
             if deadline is not None and deadline.expired(now):
-                self.stats.record_deadline_skip(endpoint)
+                self.stats.count("deadline_skips", endpoint)
                 stale = self._stale_outcome(
                     endpoint, key, policy, "deadline exhausted"
                 )
@@ -2115,7 +1874,7 @@ class ExecutionEngine:
                     endpoint, base, now
                 )
                 if not allowed:
-                    self.stats.record_breaker_rejection(endpoint)
+                    self.stats.count("breaker_rejections", endpoint)
                     stale = self._stale_outcome(
                         endpoint, key, policy, "circuit open"
                     )
@@ -2208,7 +1967,7 @@ class ExecutionEngine:
         if held is None:
             return None
         result, age_s = held
-        self.stats.record_stale_served(endpoint)
+        self.stats.count("stale_served", endpoint)
         return FetchOutcome(
             endpoint,
             result=result,
@@ -2276,7 +2035,7 @@ class ExecutionEngine:
             if breaker.state is not before:
                 self.stats.record_breaker_state(endpoint, breaker.state.value)
                 if breaker.state is BreakerState.OPEN:
-                    self.stats.record_breaker_open(endpoint)
+                    self.stats.count("breaker_opens", endpoint)
 
     def breaker_state(self, endpoint: str) -> BreakerState:
         """The endpoint's current breaker state (CLOSED if untracked)."""
@@ -2288,11 +2047,11 @@ class ExecutionEngine:
         try:
             result = self._chain(endpoint, request)
         except ProviderError:
-            self.stats.record_error(endpoint)
+            self.stats.count("errors", endpoint)
             raise
         limit = request.context.limit
         if limit > 0 and result.payload_size() >= limit:
-            self.stats.record_truncation(endpoint)
+            self.stats.count("truncations", endpoint)
         return result
 
     def _wrap(self, middleware: Middleware, call_next: CallNext) -> CallNext:
@@ -2346,7 +2105,7 @@ class ExecutionEngine:
                     )
                 if deadline is not None:
                     delay_ms = min(delay_ms, deadline.remaining_ms(now))
-                self.stats.record_retry(endpoint)
+                self.stats.count("retries", endpoint)
                 if delay_ms > 0:
                     self._sleep(delay_ms / 1000.0)
                 attempt += 1

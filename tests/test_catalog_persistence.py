@@ -1,9 +1,12 @@
 """Round-trip tests for catalog persistence."""
 
 import json
+import sys
+import threading
 
 import pytest
 
+from repro.catalog.model import Artifact, UsageEvent, User
 from repro.catalog.persistence import (
     FORMAT_VERSION,
     catalog_from_dict,
@@ -11,6 +14,7 @@ from repro.catalog.persistence import (
     load_catalog,
     save_catalog,
 )
+from repro.catalog.store import CatalogStore
 from repro.errors import CatalogError
 
 
@@ -188,3 +192,72 @@ class TestSegments:
             assert reloaded.artifact_ids() == tiny_store.artifact_ids()
             assert reloaded.by_badge("endorsed") == \
                 tiny_store.by_badge("endorsed")
+
+
+class TestWriteBehindUnderConcurrentFlush:
+    """A sqlite store buffers usage events and lineage edges until
+    ``flush``.  Writes that land while another thread flushes must reach
+    disk: the flush drains and clears the buffers under the backend lock,
+    so appending outside it used to lose the writes in between (and could
+    crash the flush with "Set changed size during iteration")."""
+
+    BATCHES = 500
+    BATCH = 40
+    EDGES = 1000
+
+    def test_writes_survive_a_concurrent_flusher(self, tmp_path):
+        path = tmp_path / "catalog.db"
+        ids = [f"a{i}" for i in range(20)]
+        with CatalogStore.open(path) as store:
+            store.add_user(User(id="u1", name="Ada", role="analyst"))
+            for aid in ids:
+                store.add_artifact(
+                    Artifact(id=aid, name=aid, artifact_type="table")
+                )
+        done = threading.Event()
+        failures: list = []
+        store = CatalogStore.open(path)
+
+        def writer() -> None:
+            try:
+                for b in range(self.BATCHES):
+                    # The coalescing write path: one call folds a batch.
+                    store.record_events([
+                        UsageEvent(ids[(b + j) % len(ids)], "u1", "view", 0.0)
+                        for j in range(self.BATCH)
+                    ])
+                    for e in range(b, self.EDGES, self.BATCHES):
+                        store.lineage.add_edge(f"src-{e}", f"dst-{e}")
+            except Exception as exc:  # noqa: BLE001 - the test's verdict
+                failures.append(repr(exc))
+            finally:
+                done.set()
+
+        def flusher() -> None:
+            try:
+                while not done.is_set():
+                    store.flush()
+            except Exception as exc:  # noqa: BLE001 - the test's verdict
+                failures.append(repr(exc))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=flusher),
+                       threading.Thread(target=writer)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+            store.close()
+        assert not any(thread.is_alive() for thread in threads)
+        assert not failures, failures[:3]
+        events = self.BATCHES * self.BATCH
+        with CatalogStore.open(path) as reopened:
+            assert len(reopened.usage) == events
+            assert sum(
+                reopened.usage_stats(aid).view_count for aid in ids
+            ) == events
+            assert reopened.lineage.edge_count == self.EDGES

@@ -312,7 +312,7 @@ class TestSingleFlight:
             for o in outcomes
         )
         assert endpoint.calls == 1
-        assert engine.stats.single_flights == 11
+        assert engine.stats.total("single_flights") == 11
 
     def test_distinct_keys_do_not_coalesce(self):
         endpoint = CountingEndpoint(latency_s=0.01)
@@ -328,7 +328,7 @@ class TestSingleFlight:
             ),
         )
         assert endpoint.calls == 6
-        assert engine.stats.single_flights == 0
+        assert engine.stats.total("single_flights") == 0
 
     def test_single_flight_disabled_calls_per_fetch(self):
         endpoint = CountingEndpoint(latency_s=0.03)
@@ -340,7 +340,7 @@ class TestSingleFlight:
         request = ProviderRequest()
         _hammer(8, lambda i: engine.execute("x://count", request))
         assert endpoint.calls == 8
-        assert engine.stats.single_flights == 0
+        assert engine.stats.total("single_flights") == 0
 
     def test_waiters_get_errors_not_hangs_when_leader_fails(self):
         endpoint = FailingEndpoint()
@@ -457,17 +457,17 @@ class TestEngineStress:
             for _ in range(50):
                 if index % 2 == 0:
                     engine.set_tenant_policy(tenant, overlay)
-                    assert engine.tenant_policy(tenant).attempts == 7
+                    assert engine.tenant_policy(tenant).retry.attempts == 7
                     engine.clear_tenant_policy(tenant)
                 else:
                     # Readers: a foreign tenant's churn never leaks in.
-                    assert engine.tenant_policy("t-stable").attempts == 1
+                    assert engine.tenant_policy("t-stable").retry.attempts == 1
                     engine.execute("x://count", ProviderRequest(
                         context=RequestContext(team_id="t-stable")
                     ))
 
         _hammer(8, worker)
-        assert engine.tenant_policy("t-stable").attempts == 1
+        assert engine.tenant_policy("t-stable").retry.attempts == 1
 
 
 class TestSqliteConcurrentReaders:
@@ -787,3 +787,40 @@ class TestUsageAggregatesUnderOverviews:
         assert not any(writer.is_alive() for writer in writers)
         assert len(writers) > 1
         assert len(log.all_stats()) == 2000 + len(writers)
+
+
+class TestConcurrentBadgeGrants:
+    """``grant_badge`` reads an artifact, adds a badge to a copy and
+    writes the copy back.  Unserialised, two threads granting badges to
+    one artifact overwrote each other's copies and lost grants."""
+
+    PER_THREAD = 200
+
+    def test_two_threads_keep_every_grant(self, tiny_store):
+        failures: list = []
+
+        def grant(prefix: str) -> None:
+            try:
+                for i in range(self.PER_THREAD):
+                    tiny_store.grant_badge("t-orders", f"{prefix}-{i}", "u-ann")
+            except Exception as exc:  # noqa: BLE001 - the test's verdict
+                failures.append(repr(exc))
+
+        before = len(tiny_store.artifact("t-orders").badges)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=grant, args=(prefix,))
+                       for prefix in ("left", "right")]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not failures, failures[:3]
+        badges = tiny_store.artifact("t-orders").badges
+        assert len(badges) == before + 2 * self.PER_THREAD
+        for prefix in ("left", "right"):
+            assert len(tiny_store.by_badge(f"{prefix}-0")) == 1

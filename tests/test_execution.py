@@ -1,7 +1,7 @@
 """Tests for the provider execution layer.
 
 Covers the engine's cache (hit/miss, TTL, LRU, invalidation on catalog
-mutation, registry swap and spec swap), parallel ``fetch_many`` with
+mutation, registry swap and spec swap), parallel ``execute_many`` with
 deterministic ordering and fault containment, the retry/backoff
 middleware composing with :mod:`repro.providers.faults`, instrumentation,
 and the end-to-end guarantees: repeated queries and overview
@@ -100,18 +100,18 @@ class TestCache:
         registry, endpoint = counting_registry
         engine = ExecutionEngine(registry)
         request = ProviderRequest()
-        first = engine.fetch("x://count", request)
-        second = engine.fetch("x://count", request)
+        first = engine.execute("x://count", request).result
+        second = engine.execute("x://count", request).result
         assert endpoint.calls == 1
         assert first.artifact_ids() == second.artifact_ids()
-        assert engine.stats.cache_hits == 1
-        assert engine.stats.cache_misses == 1
+        assert engine.stats.total("cache_hits") == 1
+        assert engine.stats.total("cache_misses") == 1
 
     def test_distinct_requests_both_fetch(self, counting_registry):
         registry, endpoint = counting_registry
         engine = ExecutionEngine(registry)
-        engine.fetch("x://count", ProviderRequest())
-        engine.fetch(
+        engine.execute("x://count", ProviderRequest())
+        engine.execute(
             "x://count", ProviderRequest(context=RequestContext(limit=99))
         )
         assert endpoint.calls == 2
@@ -124,12 +124,12 @@ class TestCache:
             policy=ExecutionPolicy.defaults().replace(cache_ttl_s=10.0),
             timer=lambda: fake_now[0],
         )
-        engine.fetch("x://count", ProviderRequest())
+        engine.execute("x://count", ProviderRequest())
         fake_now[0] = 5.0
-        engine.fetch("x://count", ProviderRequest())
+        engine.execute("x://count", ProviderRequest())
         assert endpoint.calls == 1
         fake_now[0] = 11.0
-        engine.fetch("x://count", ProviderRequest())
+        engine.execute("x://count", ProviderRequest())
         assert endpoint.calls == 2
 
     def test_ttl_zero_disables_caching(self, counting_registry):
@@ -137,8 +137,8 @@ class TestCache:
         engine = ExecutionEngine(
             registry, policy=ExecutionPolicy.defaults().replace(cache_ttl_s=0)
         )
-        engine.fetch("x://count", ProviderRequest())
-        engine.fetch("x://count", ProviderRequest())
+        engine.execute("x://count", ProviderRequest())
+        engine.execute("x://count", ProviderRequest())
         assert endpoint.calls == 2
         assert engine.cache_size == 0
 
@@ -149,7 +149,7 @@ class TestCache:
             policy=ExecutionPolicy.defaults().replace(cache_max_entries=3),
         )
         for limit in range(1, 6):
-            engine.fetch(
+            engine.execute(
                 "x://count",
                 ProviderRequest(context=RequestContext(limit=limit)),
             )
@@ -158,9 +158,9 @@ class TestCache:
     def test_explicit_invalidation(self, counting_registry):
         registry, endpoint = counting_registry
         engine = ExecutionEngine(registry)
-        engine.fetch("x://count", ProviderRequest())
+        engine.execute("x://count", ProviderRequest())
         engine.invalidate()
-        engine.fetch("x://count", ProviderRequest())
+        engine.execute("x://count", ProviderRequest())
         assert endpoint.calls == 2
 
     def test_per_endpoint_invalidation(self, counting_registry):
@@ -168,11 +168,11 @@ class TestCache:
         other = CountingEndpoint(ids=("b-1",))
         registry.register("x://other", other)
         engine = ExecutionEngine(registry)
-        engine.fetch("x://count", ProviderRequest())
-        engine.fetch("x://other", ProviderRequest())
+        engine.execute("x://count", ProviderRequest())
+        engine.execute("x://other", ProviderRequest())
         engine.invalidate("x://other")
-        engine.fetch("x://count", ProviderRequest())
-        engine.fetch("x://other", ProviderRequest())
+        engine.execute("x://count", ProviderRequest())
+        engine.execute("x://other", ProviderRequest())
         assert endpoint.calls == 1
         assert other.calls == 2
 
@@ -182,9 +182,9 @@ class TestCache:
         flaky = FlakyEndpoint(inner, fail_on={1}, name="flaky")
         registry.register("x://flaky", flaky)
         engine = ExecutionEngine(registry)
-        with pytest.raises(ProviderError):
-            engine.fetch("x://flaky", ProviderRequest())
-        result = engine.fetch("x://flaky", ProviderRequest())
+        failed = engine.execute("x://flaky", ProviderRequest())
+        assert isinstance(failed.error, ProviderError)
+        result = engine.execute("x://flaky", ProviderRequest()).result
         assert result.artifact_ids() == ["a-1", "a-2"]
 
 
@@ -194,11 +194,11 @@ class TestInvalidationOnMutation:
         endpoint = CountingEndpoint()
         registry.register("x://count", endpoint)
         engine = ExecutionEngine(registry, store=tiny_store)
-        engine.fetch("x://count", ProviderRequest())
-        engine.fetch("x://count", ProviderRequest())
+        engine.execute("x://count", ProviderRequest())
+        engine.execute("x://count", ProviderRequest())
         assert endpoint.calls == 1
         tiny_store.grant_badge("t-web", "endorsed", "u-ann")
-        engine.fetch("x://count", ProviderRequest())
+        engine.execute("x://count", ProviderRequest())
         assert endpoint.calls == 2
 
     def test_usage_event_flushes_cache(self, tiny_store):
@@ -206,18 +206,18 @@ class TestInvalidationOnMutation:
         endpoint = CountingEndpoint()
         registry.register("x://count", endpoint)
         engine = ExecutionEngine(registry, store=tiny_store)
-        engine.fetch("x://count", ProviderRequest())
+        engine.execute("x://count", ProviderRequest())
         tiny_store.record("t-orders", "u-bob", "view")
-        engine.fetch("x://count", ProviderRequest())
+        engine.execute("x://count", ProviderRequest())
         assert endpoint.calls == 2
 
     def test_registry_swap_flushes_cache(self, counting_registry):
         registry, endpoint = counting_registry
         engine = ExecutionEngine(registry)
-        engine.fetch("x://count", ProviderRequest())
+        engine.execute("x://count", ProviderRequest())
         healed = CountingEndpoint(ids=("z-9",))
         registry.register("x://count", healed, replace=True)
-        result = engine.fetch("x://count", ProviderRequest())
+        result = engine.execute("x://count", ProviderRequest()).result
         assert result.artifact_ids() == ["z-9"]
 
     def test_spec_swap_invalidates(self, tiny_app):
@@ -227,7 +227,7 @@ class TestInvalidationOnMutation:
         tiny_app.update_spec(tiny_app.spec)
         assert tiny_app.engine.cache_size == 0
         # stats survive the swap — the engine is shared across versions
-        assert tiny_app.stats.total_calls > 0
+        assert tiny_app.stats.total("calls") > 0
 
 
 class TestScope:
@@ -237,10 +237,10 @@ class TestScope:
             registry, policy=ExecutionPolicy.defaults().replace(cache_ttl_s=0)
         )
         with engine.scope():
-            engine.fetch("x://count", ProviderRequest())
-            engine.fetch("x://count", ProviderRequest())
+            engine.execute("x://count", ProviderRequest())
+            engine.execute("x://count", ProviderRequest())
         assert endpoint.calls == 1
-        engine.fetch("x://count", ProviderRequest())
+        engine.execute("x://count", ProviderRequest())
         assert endpoint.calls == 2  # memo died with the scope
 
 
@@ -257,7 +257,7 @@ class TestFetchMany:
             ("x://alpha", ProviderRequest()),
             ("x://beta", ProviderRequest()),
         ]
-        outcomes = engine.fetch_many(calls)
+        outcomes = engine.execute_many(calls)
         assert [o.endpoint for o in outcomes] == [
             "x://gamma", "x://alpha", "x://beta",
         ]
@@ -273,9 +273,9 @@ class TestFetchMany:
             )
         engine = ExecutionEngine(registry)
         calls = [(f"x://p{index}", ProviderRequest()) for index in range(12)]
-        first = [o.result.artifact_ids() for o in engine.fetch_many(calls)]
+        first = [o.result.artifact_ids() for o in engine.execute_many(calls)]
         engine.invalidate()
-        second = [o.result.artifact_ids() for o in engine.fetch_many(calls)]
+        second = [o.result.artifact_ids() for o in engine.execute_many(calls)]
         assert first == second
 
     def test_duplicates_fetch_once(self, counting_registry):
@@ -283,7 +283,7 @@ class TestFetchMany:
         engine = ExecutionEngine(
             registry, policy=ExecutionPolicy.defaults().replace(cache_ttl_s=0)
         )
-        outcomes = engine.fetch_many(
+        outcomes = engine.execute_many(
             [("x://count", ProviderRequest())] * 4
         )
         assert endpoint.calls == 1
@@ -297,7 +297,7 @@ class TestFetchMany:
                           name="broken"),
         )
         engine = ExecutionEngine(registry)
-        outcomes = engine.fetch_many([
+        outcomes = engine.execute_many([
             ("x://count", ProviderRequest()),
             ("x://broken", ProviderRequest()),
             ("x://count", ProviderRequest(context=RequestContext(limit=3))),
@@ -305,7 +305,7 @@ class TestFetchMany:
         assert outcomes[0].ok and outcomes[2].ok
         assert not outcomes[1].ok
         assert isinstance(outcomes[1].error, ProviderError)
-        assert engine.stats.total_errors == 1
+        assert engine.stats.total("errors") == 1
 
     def test_actually_runs_on_threads(self):
         registry = EndpointRegistry()
@@ -320,7 +320,7 @@ class TestFetchMany:
         for index in range(6):
             registry.register(f"x://t{index}", make_endpoint(f"id-{index}"))
         engine = ExecutionEngine(registry)
-        engine.fetch_many(
+        engine.execute_many(
             [(f"x://t{index}", ProviderRequest()) for index in range(6)]
         )
         assert any(t.startswith("humboldt-exec") for t in seen_threads)
@@ -330,7 +330,7 @@ class TestFetchMany:
         engine = ExecutionEngine(
             registry, policy=ExecutionPolicy.defaults().replace(max_workers=1)
         )
-        outcomes = engine.fetch_many([
+        outcomes = engine.execute_many([
             ("x://count", ProviderRequest()),
             ("x://count", ProviderRequest(context=RequestContext(limit=3))),
         ])
@@ -351,10 +351,10 @@ class TestRetryMiddleware:
             ),
             sleep=sleeps.append,
         )
-        result = engine.fetch("x://flaky", ProviderRequest())
+        result = engine.execute("x://flaky", ProviderRequest()).result
         assert result.artifact_ids() == ["a-1", "a-2"]
         assert flaky.calls == 2
-        assert engine.stats.total_retries == 1
+        assert engine.stats.total("retries") == 1
         assert sleeps == [0.01]
 
     def test_backoff_doubles(self):
@@ -369,7 +369,7 @@ class TestRetryMiddleware:
             ),
             sleep=sleeps.append,
         )
-        engine.fetch("x://flaky", ProviderRequest())
+        engine.execute("x://flaky", ProviderRequest())
         assert sleeps == [0.01, 0.02]
 
     def test_attempts_exhausted_raises(self):
@@ -384,10 +384,10 @@ class TestRetryMiddleware:
             ),
             sleep=lambda s: None,
         )
-        with pytest.raises(ProviderError):
-            engine.fetch("x://flaky", ProviderRequest())
+        outcome = engine.execute("x://flaky", ProviderRequest())
+        assert isinstance(outcome.error, ProviderError)
         assert flaky.calls == 3
-        assert engine.stats.total_retries == 2
+        assert engine.stats.total("retries") == 2
 
     def test_timeout_is_retried(self, tiny_registry):
         original = tiny_registry.resolve("catalog://newest")
@@ -401,14 +401,14 @@ class TestRetryMiddleware:
             ),
             sleep=lambda s: None,
         )
-        engine.fetch("catalog://newest", ProviderRequest())  # 60ms spent
+        engine.execute("catalog://newest", ProviderRequest())  # 60ms spent
         # second call times out (60 > 40 remaining) and the retry also
         # times out: ProviderTimeoutError surfaces after both attempts
-        with pytest.raises(ProviderTimeoutError):
-            engine.fetch(
-                "catalog://newest",
-                ProviderRequest(context=RequestContext(limit=5)),
-            )
+        outcome = engine.execute(
+            "catalog://newest",
+            ProviderRequest(context=RequestContext(limit=5)),
+        )
+        assert isinstance(outcome.error, ProviderTimeoutError)
         assert slow.timed_out == 2
 
     def test_missing_input_not_retried(self, tiny_registry):
@@ -416,9 +416,9 @@ class TestRetryMiddleware:
             tiny_registry,
             policy=ExecutionPolicy.defaults().replace(attempts=5),
         )
-        with pytest.raises(MissingInputError):
-            engine.fetch("catalog://owned_by", ProviderRequest())
-        assert engine.stats.total_retries == 0
+        outcome = engine.execute("catalog://owned_by", ProviderRequest())
+        assert isinstance(outcome.error, MissingInputError)
+        assert engine.stats.total("retries") == 0
 
     def test_wrong_shape_not_retried(self):
         registry = EndpointRegistry()
@@ -435,8 +435,8 @@ class TestRetryMiddleware:
         engine = ExecutionEngine(
             registry, policy=ExecutionPolicy.defaults().replace(attempts=5)
         )
-        with pytest.raises(RepresentationError):
-            engine.fetch("x://wrong", ProviderRequest())
+        outcome = engine.execute("x://wrong", ProviderRequest())
+        assert isinstance(outcome.error, RepresentationError)
         assert len(calls) == 1
 
     def test_is_transient_classification(self):
@@ -451,7 +451,7 @@ class TestStats:
     def test_latency_percentiles_present(self, counting_registry):
         registry, _ = counting_registry
         engine = ExecutionEngine(registry)
-        engine.fetch("x://count", ProviderRequest())
+        engine.execute("x://count", ProviderRequest())
         snap = engine.stats.snapshot()
         latency = snap["endpoints"]["x://count"]["latency_ms"]
         assert set(latency) == {"mean", "p50", "p95", "p99", "max"}
@@ -460,8 +460,8 @@ class TestStats:
     def test_render_is_a_table(self, counting_registry):
         registry, _ = counting_registry
         engine = ExecutionEngine(registry)
-        engine.fetch("x://count", ProviderRequest())
-        engine.fetch("x://count", ProviderRequest())
+        engine.execute("x://count", ProviderRequest())
+        engine.execute("x://count", ProviderRequest())
         text = engine.stats.render()
         assert "x://count" in text
         assert "TOTAL" in text
@@ -470,18 +470,18 @@ class TestStats:
         registry = EndpointRegistry()
         registry.register("x://big", CountingEndpoint(ids=("a", "b", "c")))
         engine = ExecutionEngine(registry)
-        engine.fetch(
+        engine.execute(
             "x://big", ProviderRequest(context=RequestContext(limit=3))
         )
         assert engine.stats.endpoint("x://big").truncations == 1
-        assert engine.stats.truncations == 1
+        assert engine.stats.total("truncations") == 1
 
     def test_reset(self, counting_registry):
         registry, _ = counting_registry
         engine = ExecutionEngine(registry)
-        engine.fetch("x://count", ProviderRequest())
+        engine.execute("x://count", ProviderRequest())
         engine.stats.reset()
-        assert engine.stats.total_calls == 0
+        assert engine.stats.total("calls") == 0
 
 
 class TestEndToEndDeduplication:
@@ -489,17 +489,17 @@ class TestEndToEndDeduplication:
 
     def test_repeated_overview_zero_duplicate_invocations(self, tiny_app):
         tiny_app.interface.overview_tabs(user_id="u-ann")
-        calls_after_first = tiny_app.stats.total_calls
+        calls_after_first = tiny_app.stats.total("calls")
         assert calls_after_first > 0
         second = tiny_app.interface.overview_tabs(user_id="u-ann")
-        assert tiny_app.stats.total_calls == calls_after_first
+        assert tiny_app.stats.total("calls") == calls_after_first
         assert [t.provider_name for t in second]  # still fully generated
 
     def test_repeated_query_zero_duplicate_invocations(self, tiny_app):
         first = tiny_app.interface.search("badged: endorsed & type: table")
-        calls_after_first = tiny_app.stats.total_calls
+        calls_after_first = tiny_app.stats.total("calls")
         second = tiny_app.interface.search("badged: endorsed & type: table")
-        assert tiny_app.stats.total_calls == calls_after_first
+        assert tiny_app.stats.total("calls") == calls_after_first
         assert first[0].artifact_ids() == second[0].artifact_ids()
 
     def test_duplicate_subquery_fetches_once_within_search(self, tiny_app):
@@ -509,10 +509,10 @@ class TestEndToEndDeduplication:
 
     def test_mutation_invalidates_between_overviews(self, tiny_app):
         tiny_app.interface.overview_tabs(user_id="u-ann")
-        calls_after_first = tiny_app.stats.total_calls
+        calls_after_first = tiny_app.stats.total("calls")
         tiny_app.store.grant_badge("t-web", "endorsed", "u-ann")
         tiny_app.interface.overview_tabs(user_id="u-ann")
-        assert tiny_app.stats.total_calls > calls_after_first
+        assert tiny_app.stats.total("calls") > calls_after_first
 
     def test_parallel_overview_matches_serial_content(self, tiny_store):
         """Parallel fan-out must not change what the UI shows: a serial
@@ -543,7 +543,7 @@ class TestSearchTruncationSignal:
             evaluator.fetch_limit = 2
             result = tiny_app.interface.search("type: table")[0]
             assert result.truncated
-            assert tiny_app.stats.truncations > 0
+            assert tiny_app.stats.total("truncations") > 0
         finally:
             evaluator.fetch_limit = original
 
@@ -617,10 +617,10 @@ class TestStatsSnapshotImmutability:
     def test_snapshot_is_detached_from_later_activity(self, counting_registry):
         registry, _ = counting_registry
         engine = ExecutionEngine(registry)
-        engine.fetch("x://count", ProviderRequest())
+        engine.execute("x://count", ProviderRequest())
         snap = engine.stats.endpoint("x://count")
         assert snap.calls == 1
-        engine.fetch("x://count", ProviderRequest(
+        engine.execute("x://count", ProviderRequest(
             context=RequestContext(limit=3)
         ))
         assert snap.calls == 1  # not a live view
@@ -629,7 +629,7 @@ class TestStatsSnapshotImmutability:
     def test_snapshot_rejects_mutation(self, counting_registry):
         registry, _ = counting_registry
         engine = ExecutionEngine(registry)
-        engine.fetch("x://count", ProviderRequest())
+        engine.execute("x://count", ProviderRequest())
         snap = engine.stats.endpoint("x://count")
         with pytest.raises(AttributeError):
             snap.calls = 99
@@ -638,7 +638,7 @@ class TestStatsSnapshotImmutability:
     def test_snapshot_latencies_are_a_tuple_copy(self, counting_registry):
         registry, _ = counting_registry
         engine = ExecutionEngine(registry)
-        engine.fetch("x://count", ProviderRequest())
+        engine.execute("x://count", ProviderRequest())
         snap = engine.stats.endpoint("x://count")
         assert isinstance(snap.latencies_ms, tuple)
         assert len(snap.latencies_ms) == 1
@@ -659,26 +659,26 @@ class TestBatchDedupCounting:
     def test_duplicate_of_pending_miss_counts_as_dedup(self, counting_registry):
         registry, endpoint = counting_registry
         engine = ExecutionEngine(registry)
-        engine.fetch_many([("x://count", ProviderRequest())] * 3)
+        engine.execute_many([("x://count", ProviderRequest())] * 3)
         assert endpoint.calls == 1
-        assert engine.stats.cache_misses == 1
-        assert engine.stats.cache_hits == 0
-        assert engine.stats.dedups == 2
+        assert engine.stats.total("cache_misses") == 1
+        assert engine.stats.total("cache_hits") == 0
+        assert engine.stats.total("dedups") == 2
         assert engine.stats.endpoint("x://count").dedups == 2
 
     def test_duplicate_of_cached_hit_still_counts_as_hit(self, counting_registry):
         registry, endpoint = counting_registry
         engine = ExecutionEngine(registry)
-        engine.fetch("x://count", ProviderRequest())  # prime the cache
-        engine.fetch_many([("x://count", ProviderRequest())] * 2)
+        engine.execute("x://count", ProviderRequest())  # prime the cache
+        engine.execute_many([("x://count", ProviderRequest())] * 2)
         assert endpoint.calls == 1
-        assert engine.stats.cache_hits == 2
-        assert engine.stats.dedups == 0
+        assert engine.stats.total("cache_hits") == 2
+        assert engine.stats.total("dedups") == 0
 
     def test_hit_rate_unpolluted_by_batch_duplicates(self, counting_registry):
         registry, _ = counting_registry
         engine = ExecutionEngine(registry)
-        engine.fetch_many([("x://count", ProviderRequest())] * 10)
+        engine.execute_many([("x://count", ProviderRequest())] * 10)
         assert engine.stats.cache_hit_rate == 0.0
 
 
@@ -697,7 +697,7 @@ class TestEngineLifecycle:
             registry.register(f"x://t{index}", CountingEndpoint())
         before = _exec_threads()
         engine = ExecutionEngine(registry)
-        engine.fetch_many(
+        engine.execute_many(
             [(f"x://t{index}", ProviderRequest()) for index in range(4)]
         )
         spawned = _exec_threads() - before
@@ -711,7 +711,7 @@ class TestEngineLifecycle:
         engine.close()
         engine.close()
         # fetches after close still work (pool recreated on demand)
-        engine.fetch("x://count", ProviderRequest())
+        engine.execute("x://count", ProviderRequest())
         assert endpoint.calls == 1
         engine.close()
 
@@ -721,7 +721,7 @@ class TestEngineLifecycle:
             registry.register(f"x://t{index}", CountingEndpoint())
         before = _exec_threads()
         with ExecutionEngine(registry) as engine:
-            engine.fetch_many(
+            engine.execute_many(
                 [(f"x://t{index}", ProviderRequest()) for index in range(4)]
             )
         assert all(not t.is_alive() for t in _exec_threads() - before)
@@ -742,21 +742,11 @@ def _clock_engine(registry, policy=None):
 
 class TestRemovedFlatPolicyConstructor:
     """The legacy flat ExecutionPolicy(...) constructor shim is gone:
-    flat kwargs raise TypeError with the replace(...) migration hint."""
+    flat kwargs are a TypeError; ``defaults().replace(...)`` spells them."""
 
-    def test_flat_kwargs_raise_with_migration_hint(self):
-        with pytest.raises(TypeError, match=r"removed.*replace\("):
-            ExecutionPolicy(attempts=3, cache_ttl_s=60.0)
-
-    def test_migration_hint_names_the_offending_knobs(self):
-        with pytest.raises(
-            TypeError, match=r"attempts=\.\.\., cache_ttl_s=\.\.\."
-        ):
-            ExecutionPolicy(attempts=3, cache_ttl_s=60.0)
-
-    def test_unknown_flat_kwarg_still_named_unknown(self):
-        with pytest.raises(TypeError, match="unknown ExecutionPolicy knob"):
-            ExecutionPolicy(atempts=3)
+    def test_flat_kwargs_raise_type_error(self):
+        with pytest.raises(TypeError):
+            ExecutionPolicy(attempts=3)
 
     def test_layered_spelling_replaces_the_shim(self):
         policy = ExecutionPolicy.defaults().replace(
@@ -765,34 +755,12 @@ class TestRemovedFlatPolicyConstructor:
         assert policy.retry.attempts == 3
         assert policy.cache.ttl_s == 60.0
 
-    def test_read_through_properties_survive_the_removal(self):
-        policy = ExecutionPolicy.defaults().replace(
-            attempts=4, backoff_base_ms=7.0, cache_max_entries=11
-        )
-        assert policy.attempts == 4
-        assert policy.backoff_base_ms == 7.0
-        assert policy.cache_max_entries == 11
-        assert policy.cache_ttl_s == CachePolicy().ttl_s
-
     def test_canonical_construction_does_not_warn(self, recwarn):
         ExecutionPolicy.defaults().replace(
             retry=RetryPolicy(attempts=2), cache_ttl_s=5.0
         )
         assert not [w for w in recwarn.list
                     if issubclass(w.category, DeprecationWarning)]
-
-    def test_fetch_still_raises_through(self, counting_registry):
-        registry, _ = counting_registry
-        registry.register(
-            "x://down",
-            FlakyEndpoint(CountingEndpoint(), fail_on=lambda i: True,
-                          name="down"),
-        )
-        engine = ExecutionEngine(registry)
-        result = engine.fetch("x://count", ProviderRequest())
-        assert result.artifact_ids() == ["a-1", "a-2"]
-        with pytest.raises(ProviderError):
-            engine.fetch("x://down", ProviderRequest())
 
     def test_no_flat_construction_left_anywhere(self):
         """No module under src/ (execution.py aside) spells the removed
@@ -896,7 +864,7 @@ class TestCircuitBreaker:
             outcome = engine.execute("x://shaky", ProviderRequest())
             assert outcome.status is FetchStatus.ERROR
         assert engine.breaker_state("x://shaky") is BreakerState.OPEN
-        assert engine.stats.breaker_opens == 1
+        assert engine.stats.total("breaker_opens") == 1
 
     def test_open_breaker_skips_without_invoking(self):
         registry, failing = self._registry()
@@ -907,7 +875,7 @@ class TestCircuitBreaker:
         assert outcome.skipped and not outcome.ok
         assert isinstance(outcome.error, CircuitOpenError)
         assert failing.calls == 3  # the rejected fetch never ran
-        assert engine.stats.breaker_rejections == 1
+        assert engine.stats.total("breaker_rejections") == 1
 
     def test_half_open_probe_success_closes(self):
         registry, failing = self._registry(fail_count=3)
@@ -932,7 +900,7 @@ class TestCircuitBreaker:
         rejected = engine.execute("x://shaky", ProviderRequest())
         assert rejected.skipped
         assert failing.calls == 4
-        assert engine.stats.breaker_opens == 2
+        assert engine.stats.total("breaker_opens") == 2
 
     def test_success_resets_failure_streak(self):
         registry = EndpointRegistry()
@@ -945,7 +913,7 @@ class TestCircuitBreaker:
         for _ in range(9):
             engine.execute("x://shaky", ProviderRequest())
         assert engine.breaker_state("x://shaky") is BreakerState.CLOSED
-        assert engine.stats.breaker_rejections == 0
+        assert engine.stats.total("breaker_rejections") == 0
 
     def test_disabled_breaker_never_rejects(self):
         registry, failing = self._registry()
@@ -994,7 +962,7 @@ class TestStaleWhileRevalidate:
         assert outcome.result.artifact_ids() == ["a-1", "a-2"]
         assert "circuit open" in outcome.reason
         assert "past TTL" in outcome.reason
-        assert engine.stats.stale_served == 1
+        assert engine.stats.total("stale_served") == 1
         assert wobbly.calls == 4  # stale serve did not invoke
 
     def test_exhausted_deadline_serves_marked_stale(self):
@@ -1007,7 +975,7 @@ class TestStaleWhileRevalidate:
         )
         assert outcome.stale
         assert "deadline exhausted" in outcome.reason
-        assert engine.stats.deadline_skips == 1
+        assert engine.stats.total("deadline_skips") == 1
         assert wobbly.calls == 1
 
     def test_no_fallback_past_grace_period(self):
@@ -1041,7 +1009,7 @@ class TestStaleWhileRevalidate:
         # still stale on the next serve — the grace entry did not get a
         # fresh TTL stamped by being served
         assert engine.execute("x://wobbly", ProviderRequest()).stale
-        assert engine.stats.stale_served == 2
+        assert engine.stats.total("stale_served") == 2
 
     def test_fresh_hit_ignores_deadline(self):
         engine, clock, wobbly = self._warmed_engine()
@@ -1082,7 +1050,7 @@ class TestDeadlineBudget:
         assert outcome.skipped
         assert isinstance(outcome.error, DeadlineExceededError)
         assert endpoint.calls == 0
-        assert engine.stats.deadline_skips == 1
+        assert engine.stats.total("deadline_skips") == 1
 
     def test_batch_stops_attempting_once_budget_spent(self):
         registry = EndpointRegistry()
@@ -1178,7 +1146,7 @@ class TestRetryJitter:
             ),
             sleep=sleeps.append,
         )
-        engine.fetch("x://flaky", ProviderRequest())
+        engine.execute("x://flaky", ProviderRequest())
         return sleeps
 
     def test_jitter_perturbs_the_schedule(self):
@@ -1220,6 +1188,6 @@ class TestHealthSurface:
     def test_stats_render_includes_resilience_columns(self, counting_registry):
         registry, _ = counting_registry
         engine = ExecutionEngine(registry)
-        engine.fetch("x://count", ProviderRequest())
+        engine.execute("x://count", ProviderRequest())
         text = engine.stats.render()
         assert "stale" in text and "dskip" in text and "brej" in text

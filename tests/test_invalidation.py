@@ -217,10 +217,10 @@ class TestInvalidationMatrix:
         mutate, changed = MUTATIONS[label]
         engine, endpoints = build_matrix_engine(store)
         for uri in ENDPOINT_DEPS:
-            engine.fetch(uri, ProviderRequest())
+            engine.execute(uri, ProviderRequest())
         mutate(store)
         for uri in ENDPOINT_DEPS:
-            engine.fetch(uri, ProviderRequest())
+            engine.execute(uri, ProviderRequest())
         for uri, deps in ENDPOINT_DEPS.items():
             should_refetch = deps is None or bool(deps & changed)
             expected_calls = 2 if should_refetch else 1
@@ -233,21 +233,21 @@ class TestInvalidationMatrix:
         """The tentpole scenario: usage traffic must not evict results of
         providers that only depend on entity metadata."""
         engine, endpoints = build_matrix_engine(tiny_store)
-        engine.fetch("x://entities", ProviderRequest())
+        engine.execute("x://entities", ProviderRequest())
         for _ in range(25):
             tiny_store.record("t-orders", "u-ann", "view")
-            engine.fetch("x://entities", ProviderRequest())
+            engine.execute("x://entities", ProviderRequest())
         assert endpoints["x://entities"].calls == 1
-        assert engine.stats.cache_hits == 25
+        assert engine.stats.total("cache_hits") == 25
 
     def test_invalidations_counter_records_drops(self, tiny_store):
         engine, _ = build_matrix_engine(tiny_store)
         for uri in ENDPOINT_DEPS:
-            engine.fetch(uri, ProviderRequest())
+            engine.execute(uri, ProviderRequest())
         tiny_store.record("t-orders", "u-ann", "view")
-        engine.fetch("x://usage", ProviderRequest())
+        engine.execute("x://usage", ProviderRequest())
         # usage, mixed and the undeclared endpoint were dropped.
-        assert engine.stats.invalidations == 3
+        assert engine.stats.total("invalidations") == 3
         assert engine.stats.endpoint("x://usage").invalidations == 1
         assert engine.stats.endpoint("x://entities").invalidations == 0
 
@@ -255,11 +255,11 @@ class TestInvalidationMatrix:
 class TestConservativeFallback:
     def test_undeclared_endpoint_flushes_on_any_write(self, tiny_store):
         engine, endpoints = build_matrix_engine(tiny_store)
-        engine.fetch("x://undeclared", ProviderRequest())
+        engine.execute("x://undeclared", ProviderRequest())
         tiny_store.record("t-orders", "u-ann", "view")
-        engine.fetch("x://undeclared", ProviderRequest())
+        engine.execute("x://undeclared", ProviderRequest())
         tiny_store.grant_badge("t-orders", "endorsed", "u-ann")
-        engine.fetch("x://undeclared", ProviderRequest())
+        engine.execute("x://undeclared", ProviderRequest())
         assert endpoints["x://undeclared"].calls == 3
 
     def test_store_without_domain_counters_flushes_everything(self):
@@ -276,18 +276,18 @@ class TestConservativeFallback:
         depends_on(DOMAIN_ENTITIES)(endpoint)
         registry.register("x://e", endpoint)
         engine = ExecutionEngine(registry, store=store)
-        engine.fetch("x://e", ProviderRequest())
+        engine.execute("x://e", ProviderRequest())
         store.version += 1  # a "usage-like" write on a legacy store
-        engine.fetch("x://e", ProviderRequest())
+        engine.execute("x://e", ProviderRequest())
         assert endpoint.calls == 2
 
     def test_registry_swap_still_flushes_everything(self, tiny_store):
         engine, endpoints = build_matrix_engine(tiny_store)
         for uri in ENDPOINT_DEPS:
-            engine.fetch(uri, ProviderRequest())
+            engine.execute(uri, ProviderRequest())
         engine.registry.register("x://late", CountingEndpoint())
         for uri in ENDPOINT_DEPS:
-            engine.fetch(uri, ProviderRequest())
+            engine.execute(uri, ProviderRequest())
         assert all(ep.calls == 2 for ep in endpoints.values())
 
 
@@ -328,11 +328,11 @@ class TestMembershipSurvivesUsageWrites:
         )
         engine = ExecutionEngine(registry, store=store)
         request = ProviderRequest(context=RequestContext(limit=1))
-        engine.fetch("x://tables", request)
+        engine.execute("x://tables", request)
         store.record("t-web", "u-cyd", "view")
-        second = engine.fetch("x://tables", request)
+        second = engine.execute("x://tables", request).result
         # entities-only declaration: the entry survived the usage write...
-        assert engine.stats.cache_hits == 1
+        assert engine.stats.total("cache_hits") == 1
         # ...and can, because it holds every match, not a usage top-1.
         assert sorted(i.artifact_id for i in second.items) == [
             "t-customers", "t-orders", "t-web",
@@ -356,7 +356,7 @@ class TestMembershipSurvivesUsageWrites:
             )
             # The provider's cache entry survived the usage writes, yet
             # the displayed top-2 matches a cold-cache ground truth.
-            assert app.stats.cache_hits > 0
+            assert app.stats.total("cache_hits") > 0
             assert len(after.artifact_ids()) == 2
             with WorkbookApp(store) as fresh:
                 expected = fresh.interface.open_view(
@@ -391,9 +391,9 @@ class TestOverlayLifecycle:
         registry, engine = self.build_engine(tiny_store)
         swapped = CountingEndpoint(ids=("a-2",))
         registry.register("x://e", swapped, replace=True)
-        engine.fetch("x://e", ProviderRequest())
+        engine.execute("x://e", ProviderRequest())
         tiny_store.record("t-orders", "u-ann", "view")
-        engine.fetch("x://e", ProviderRequest())
+        engine.execute("x://e", ProviderRequest())
         # A lingering entities-only overlay would have served the cache.
         assert swapped.calls == 2
 
@@ -451,7 +451,7 @@ class TestNoStaleResults:
                     f"stale result for {query!r} after {label} at step {step}"
                 )
             # The cache did real work across those searches.
-            assert app.stats.cache_hits > 0
+            assert app.stats.total("cache_hits") > 0
 
 
 @settings(max_examples=25, deadline=None)

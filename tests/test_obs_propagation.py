@@ -145,7 +145,7 @@ class TestSingleFlightLinks:
         assert endpoint.calls == 1
         assert outcomes["leader"].status is FetchStatus.OK
         assert outcomes["waiter"].status is FetchStatus.OK
-        assert engine.stats.single_flights == 1
+        assert engine.stats.total("single_flights") == 1
 
         spans = by_name(ring)
         (join,) = spans["engine.join"]

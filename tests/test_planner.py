@@ -169,7 +169,7 @@ class TestEngineEstimate:
         registry.register("test://plain", endpoint)
         request = ProviderRequest()
         assert engine.estimate("test://plain", request) is None
-        assert engine.stats.estimates == 0
+        assert engine.stats.total("estimates") == 0
 
     def test_cached_result_is_exact_and_free(self, catalog):
         registry, engine = self._engine(catalog)
@@ -183,11 +183,11 @@ class TestEngineEstimate:
 
         registry.register("test://cached", endpoint)
         request = ProviderRequest()
-        engine.fetch("test://cached", request)
-        calls_before = engine.stats.total_calls
+        engine.execute("test://cached", request)
+        calls_before = engine.stats.total("calls")
         assert engine.estimate("test://cached", request) == 1
-        assert engine.stats.total_calls == calls_before  # no fetch happened
-        assert engine.stats.estimates == 1
+        assert engine.stats.total("calls") == calls_before  # no fetch happened
+        assert engine.stats.total("estimates") == 1
 
     def test_declared_estimator_hook_is_discovered(self, catalog):
         registry, engine = self._engine(catalog)
@@ -228,9 +228,9 @@ class TestPlannedSkips:
         assert result.total == 0
         assert result.plan is not None
         assert result.plan.fetches_skipped == 2
-        assert evaluator.engine.stats.fetches_skipped == 2
+        assert evaluator.engine.stats.total("fetches_skipped") == 2
         # The zero-estimate leaf ran; the two skipped ones never fetched.
-        assert evaluator.engine.stats.total_calls == 1
+        assert evaluator.engine.stats.total("calls") == 1
         rendered = result.plan.render()
         assert "SKIPPED" in rendered
         assert "2 fetch(es) skipped" in rendered

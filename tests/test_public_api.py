@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import inspect
 
+import pytest
+
 import repro
+from repro.providers.execution import ExecutionStats
 
 #: The supported surface, sorted.  Grown deliberately, never silently.
 PUBLIC_API = [
@@ -106,3 +109,71 @@ class TestPublicSurface:
             assert "Stability: internal" in (module.__doc__ or ""), (
                 module.__name__
             )
+
+
+#: The execution engine's public methods and properties, one spelling per
+#: operation: fetches go through ``execute``/``execute_many``, counters
+#: through ``count``/``total``, configuration through the policy's
+#: dataclass fields plus ``replace``/``for_endpoint``.
+ENGINE_SURFACE = {
+    repro.ExecutionEngine: [
+        "breaker_state",
+        "cache_size",
+        "clear_tenant_policy",
+        "close",
+        "deadline",
+        "declare_dependencies",
+        "dependencies_for",
+        "enable_tracing",
+        "estimate",
+        "execute",
+        "execute_many",
+        "health",
+        "invalidate",
+        "policy",
+        "render_health",
+        "scope",
+        "set_tenant_policy",
+        "tenant_policy",
+    ],
+    repro.ExecutionPolicy: [
+        "defaults",
+        "effective",
+        "endpoint_overrides",
+        "for_endpoint",
+        "replace",
+    ],
+    ExecutionStats: [
+        "cache_hit_rate",
+        "count",
+        "endpoint",
+        "record_breaker_state",
+        "record_call",
+        "record_coalesced_bumps",
+        "render",
+        "reset",
+        "snapshot",
+        "total",
+    ],
+}
+
+
+def _methods_and_properties(cls) -> list[str]:
+    return sorted(
+        name
+        for name, value in vars(cls).items()
+        if not name.startswith("_")
+        and (callable(value) or isinstance(value, (property, classmethod)))
+    )
+
+
+class TestEngineSurface:
+    """Removed compatibility spellings (``fetch``/``fetch_many``, the
+    per-counter ``record_*`` writers and totals properties, the policy's
+    read-through properties) must not come back unnoticed."""
+
+    @pytest.mark.parametrize(
+        "cls", list(ENGINE_SURFACE), ids=lambda cls: cls.__name__
+    )
+    def test_public_members_match_the_snapshot(self, cls):
+        assert _methods_and_properties(cls) == ENGINE_SURFACE[cls]

@@ -206,7 +206,7 @@ class TestStaleSearch:
         )
         assert view.stale and view.degraded
         assert "STALE" in render_view_text(view)
-        assert interface.engine.stats.stale_served >= 1
+        assert interface.engine.stats.total("stale_served") >= 1
 
 
 class TestExplorationDegradation:

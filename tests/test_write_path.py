@@ -508,7 +508,7 @@ class TestEngineDeltaPatching:
             store, *[("a0", "u2", "view")] * 5
         ))
         engine.execute("catalog://recents", request)
-        assert engine.stats.coalesced_bumps == 4
+        assert engine.stats.total("coalesced_bumps") == 4
         assert "coalesced version bumps: 4" in engine.stats.render()
         assert "coalesced version bumps: 4" in engine.render_health()
 
