@@ -4,10 +4,17 @@ Each experiment benchmark (E1–E10, see DESIGN.md) times its core operation
 with pytest-benchmark *and* writes a paper-vs-measured table to
 ``benchmarks/results/EXX_*.txt`` so the reproduced numbers survive the
 run.  EXPERIMENTS.md indexes those files.
+
+The ``BENCH_*`` benches also emit a JSON record through
+:func:`write_bench`.  ``BENCH_SMOKE=1`` runs every one of them at its
+small CI size and writes ``BENCH_<name>.smoke.{txt,json}`` instead, so a
+smoke run never overwrites a committed full-scale record.
 """
 
 from __future__ import annotations
 
+import json
+import os
 from pathlib import Path
 
 import pytest
@@ -17,12 +24,33 @@ from repro.workbook.app import WorkbookApp
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
+#: The one switch for small CI-sized runs of the ``BENCH_*`` benches:
+#: correctness invariants only, the comparative gates need full scale.
+SMOKE = bool(os.environ.get("BENCH_SMOKE"))
+
+#: The op mix ``BENCH_load`` and ``BENCH_obs`` drive: the study-task
+#: shape with more overview opens and touches than the harness default,
+#: so tenant isolation and invalidation both stay under load.
+LOAD_MIX = {"search": 0.40, "overview": 0.25, "explore": 0.10,
+            "suggest": 0.10, "touch": 0.15}
+
 
 def write_result(experiment_id: str, title: str, body: str) -> Path:
     """Persist one experiment's output table."""
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     path = RESULTS_DIR / f"{experiment_id}.txt"
     path.write_text(f"{experiment_id} — {title}\n\n{body}\n", encoding="utf-8")
+    return path
+
+
+def write_bench(name: str, title: str, body: str, payload: object) -> Path:
+    """Persist one ``BENCH_<name>`` record: the text table and the JSON
+    payload.  Smoke runs write ``BENCH_<name>.smoke.*`` beside the
+    full-scale record instead of over it.  Returns the JSON path."""
+    stem = f"BENCH_{name}.smoke" if SMOKE else f"BENCH_{name}"
+    write_result(stem, title, body)
+    path = RESULTS_DIR / f"{stem}.json"
+    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     return path
 
 

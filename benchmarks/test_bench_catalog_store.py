@@ -22,19 +22,18 @@ peak, and the probe must *not* hydrate the entity domain — laziness is
 asserted, not assumed.  Emits ``benchmarks/results/
 BENCH_catalog_store.json`` plus the usual text table.
 
-Set ``BENCH_CATALOG_STORE_SMOKE=1`` to run the small size only (CI
+Set ``BENCH_SMOKE=1`` to run the small size only (CI
 smoke); the 10× gate only applies at the 200k size.
+A smoke run writes ``BENCH_catalog_store.smoke.json`` and ``.txt`` instead.
 """
 
 import contextlib
-import json
-import os
 import tempfile
 import time
 import tracemalloc
 from pathlib import Path
 
-from benchmarks.conftest import RESULTS_DIR, write_result
+from benchmarks.conftest import SMOKE, write_bench
 from repro.catalog.persistence import load_catalog, save_catalog
 from repro.catalog.store import CatalogStore
 from repro.synth import SynthConfig, generate_catalog, synth_ingestors
@@ -48,7 +47,7 @@ _rows: dict[str, dict] = {}
 
 
 def _sizes() -> dict[str, int]:
-    if os.environ.get("BENCH_CATALOG_STORE_SMOKE"):
+    if SMOKE:
         return {"1k": SIZES["1k"]}
     return dict(SIZES)
 
@@ -230,12 +229,10 @@ def test_bench_catalog_store_report():
             f"{row['warm_query_ms']:>9.2f}"
             f"{row['db_mb']:>7.1f}"
         )
-    write_result(
-        "BENCH_catalog_store",
+    payload = {"sizes": _rows}
+    write_bench(
+        "catalog_store",
         "Restart cost: full in-memory rebuild vs lazy sqlite cold start",
         "\n".join(lines),
+        payload,
     )
-    payload = {"sizes": _rows}
-    path = Path(RESULTS_DIR) / "BENCH_catalog_store.json"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")

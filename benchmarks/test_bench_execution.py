@@ -14,15 +14,13 @@ Measures, at ~1k and ~50k artifacts:
 Emits ``benchmarks/results/BENCH_execution.json`` so successive PRs can
 track the numbers, plus the usual text table.
 
-Set ``BENCH_EXECUTION_SMOKE=1`` to run the small size only (CI smoke).
+Set ``BENCH_SMOKE=1`` to run the small size only (CI smoke).
+A smoke run writes ``BENCH_execution.smoke.json`` and ``.txt`` instead.
 """
 
-import json
-import os
 import time
-from pathlib import Path
 
-from benchmarks.conftest import RESULTS_DIR, write_result
+from benchmarks.conftest import SMOKE, write_bench
 from repro.errors import MissingInputError, ProviderError
 from repro.providers.base import ProviderRequest, RequestContext
 from repro.synth import SynthConfig, generate_catalog
@@ -36,7 +34,7 @@ _rows: dict[str, dict] = {}
 
 
 def _sizes() -> dict[str, int]:
-    if os.environ.get("BENCH_EXECUTION_SMOKE"):
+    if SMOKE:
         return {"1k": SIZES["1k"]}
     return dict(SIZES)
 
@@ -174,12 +172,10 @@ def test_bench_execution_report():
             f"{row['text_search_cold_ms']:>10.1f}"
             f"{row['text_search_warm_ms']:>10.1f}"
         )
-    write_result(
-        "BENCH_execution",
+    payload = {"sizes": _rows}
+    write_bench(
+        "execution",
         "Provider execution layer: serial vs engine overview, cache rates",
         "\n".join(lines),
+        payload,
     )
-    payload = {"sizes": _rows}
-    path = Path(RESULTS_DIR) / "BENCH_execution.json"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")

@@ -20,16 +20,14 @@ disjoint members:
   fan-out-waiting p99.
 
 Emits ``benchmarks/results/BENCH_federation.json`` plus the text table.
-Set ``BENCH_FEDERATION_SMOKE=1`` for the small-catalog CI smoke run.
+Set ``BENCH_SMOKE=1`` for the small-catalog CI smoke run.
+A smoke run writes ``BENCH_federation.smoke.json`` and ``.txt`` instead.
 """
 
-import json
 import math
-import os
 import time
-from pathlib import Path
 
-from benchmarks.conftest import RESULTS_DIR, write_result
+from benchmarks.conftest import SMOKE, write_bench
 from repro.core.query.evaluator import QueryEvaluator
 from repro.core.query.language import QueryLanguage
 from repro.core.ranking import Ranker
@@ -64,13 +62,9 @@ P50_FACTOR = 4.0
 _rows: dict[str, dict] = {}
 
 
-def _smoke() -> bool:
-    return bool(os.environ.get("BENCH_FEDERATION_SMOKE"))
-
-
 def _corpus():
-    n_tables = 80 if _smoke() else 400
-    events = 1500 if _smoke() else 8000
+    n_tables = 80 if SMOKE else 400
+    events = 1500 if SMOKE else 8000
     return generate_catalog(
         SynthConfig(seed=11, n_tables=n_tables, usage_events=events)
     )
@@ -91,7 +85,7 @@ def test_bench_federation_healthy_fanout_comparable_p50():
     store = _corpus()
     user_id, team_id = _context(store)
     queries = query_pool(store)
-    rounds = 3 if _smoke() else 10
+    rounds = 3 if SMOKE else 10
     no_cache = ExecutionPolicy.defaults().replace(cache_ttl_s=0)
 
     engine = ExecutionEngine(EndpointRegistry(), store=store, policy=no_cache)
@@ -213,7 +207,7 @@ def test_bench_federation_slow_member_bounded_tail():
         "spike_ms": SPIKE_MS,
         "attempts": ATTEMPTS,
         "failure_threshold": THRESHOLD,
-        "smoke": _smoke(),
+        "smoke": SMOKE,
     }
 
     # Every search still answers (partial results), on both configs.
@@ -265,12 +259,10 @@ def test_bench_federation_report():
         f"attempts), threshold {meta['failure_threshold']}, "
         f"{meta['artifacts']} artifacts"
     )
-    write_result(
-        "BENCH_federation",
+    write_bench(
+        "federation",
         "Federated fan-out vs monolith, and tail latency under one slow "
         "member: degradation on vs off",
         "\n".join(lines),
+        _rows,
     )
-    path = Path(RESULTS_DIR) / "BENCH_federation.json"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(_rows, indent=2) + "\n", encoding="utf-8")

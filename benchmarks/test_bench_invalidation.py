@@ -18,14 +18,11 @@ Measures, on a ~1k-artifact synthetic catalog:
   benchmark outright.
 
 Emits ``benchmarks/results/BENCH_invalidation.json`` plus a text table.
-Set ``BENCH_INVALIDATION_SMOKE=1`` for the CI-sized run.
+Set ``BENCH_SMOKE=1`` for the CI-sized run.
+A smoke run writes ``BENCH_invalidation.smoke.json`` and ``.txt`` instead.
 """
 
-import json
-import os
-from pathlib import Path
-
-from benchmarks.conftest import RESULTS_DIR, write_result
+from benchmarks.conftest import SMOKE, write_bench
 from repro.providers.execution import ExecutionPolicy
 from repro.synth import SynthConfig, generate_catalog
 from repro.workbook.app import WorkbookApp
@@ -45,7 +42,7 @@ QUERY_TEMPLATES = (
 
 
 def _iterations() -> int:
-    return 40 if os.environ.get("BENCH_INVALIDATION_SMOKE") else 200
+    return 40 if SMOKE else 200
 
 
 def _build_store():
@@ -136,12 +133,6 @@ def test_bench_invalidation_report():
             f"{row['cache_misses']:>8}{row['endpoint_calls']:>7}"
             f"{row['invalidations']:>7}{row['stale_results']:>7}"
         )
-    write_result(
-        "BENCH_invalidation",
-        "Cache hit rate under interleaved usage writes: "
-        "dependency-aware vs coupled invalidation",
-        "\n".join(lines),
-    )
     payload = {
         "workload": {
             "queries": len(QUERY_TEMPLATES),
@@ -149,6 +140,10 @@ def test_bench_invalidation_report():
         },
         "engines": _rows,
     }
-    path = Path(RESULTS_DIR) / "BENCH_invalidation.json"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    write_bench(
+        "invalidation",
+        "Cache hit rate under interleaved usage writes: "
+        "dependency-aware vs coupled invalidation",
+        "\n".join(lines),
+        payload,
+    )

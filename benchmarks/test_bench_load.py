@@ -21,20 +21,15 @@ The batched engine must beat naive on p99 latency *and* throughput, with
 zero errors and zero cross-tenant leaks in both.  Emits
 ``benchmarks/results/BENCH_load.json`` plus the usual text table.
 
-Set ``BENCH_LOAD_SMOKE=1`` for a small-N run (CI smoke): correctness
+Set ``BENCH_SMOKE=1`` for a small-N run (CI smoke): correctness
 invariants only — comparative latency claims need the full scale.
+A smoke run writes ``BENCH_load.smoke.json`` and ``.txt`` instead.
 """
 
-import json
-import os
-from pathlib import Path
-
-from benchmarks.conftest import RESULTS_DIR, write_result
+from benchmarks.conftest import LOAD_MIX, SMOKE, write_bench
 from repro.load import LoadConfig, run_load
 from repro.providers.execution import ExecutionPolicy
 from repro.synth import SynthConfig, generate_catalog
-
-SMOKE = bool(os.environ.get("BENCH_LOAD_SMOKE"))
 
 _rows: dict[str, dict] = {}
 
@@ -47,11 +42,7 @@ def _config() -> LoadConfig:
             concurrency=8,
             provider_latency_ms=5.0,
             zipf_s=2.0,
-            search_weight=0.40,
-            overview_weight=0.25,
-            explore_weight=0.10,
-            suggest_weight=0.10,
-            touch_weight=0.15,
+            mix=LOAD_MIX,
             trace_slowest=5,
         )
     return LoadConfig(
@@ -60,11 +51,7 @@ def _config() -> LoadConfig:
         concurrency=64,
         provider_latency_ms=25.0,
         zipf_s=2.0,
-        search_weight=0.40,
-        overview_weight=0.25,
-        explore_weight=0.10,
-        suggest_weight=0.10,
-        touch_weight=0.15,
+        mix=LOAD_MIX,
         trace_slowest=5,
     )
 
@@ -144,12 +131,10 @@ def test_bench_load_report():
         f"Zipf-skewed users+queries, per-tenant customizations and policy "
         f"overlays, seed {meta['seed']}"
     )
-    write_result(
-        "BENCH_load",
+    write_bench(
+        "load",
         "Concurrent multi-tenant serving: cross-request single-flight "
         "batching vs naive shared engine",
         "\n".join(lines),
+        _rows,
     )
-    path = Path(RESULTS_DIR) / "BENCH_load.json"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(_rows, indent=2) + "\n", encoding="utf-8")

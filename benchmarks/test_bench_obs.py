@@ -17,18 +17,16 @@ Also measured: raw no-op vs live span throughput (spans/s), Prometheus
 rendering and JSONL export throughput.  Emits
 ``benchmarks/results/BENCH_obs.json`` plus the usual text table.
 
-Set ``BENCH_OBS_SMOKE=1`` for a small-N run (CI smoke): correctness
+Set ``BENCH_SMOKE=1`` for a small-N run (CI smoke): correctness
 invariants only — the overhead gates need the full scale.
+A smoke run writes ``BENCH_obs.smoke.json`` and ``.txt`` instead.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import time
-from pathlib import Path
 
-from benchmarks.conftest import RESULTS_DIR, write_result
+from benchmarks.conftest import LOAD_MIX, SMOKE, write_bench
 from repro.load import LoadConfig, run_load
 from repro.obs import (
     NOOP_TRACER,
@@ -39,8 +37,6 @@ from repro.obs import (
 )
 from repro.providers.execution import ExecutionPolicy
 from repro.synth import SynthConfig, generate_catalog
-
-SMOKE = bool(os.environ.get("BENCH_OBS_SMOKE"))
 
 #: Overhead ceiling for tracing *on*, per the subsystem's acceptance
 #: gate (full runs only; smoke runs are too noisy to gate on).
@@ -55,11 +51,7 @@ def _config(trace: bool) -> LoadConfig:
         ops_per_session=4,
         concurrency=8 if SMOKE else 32,
         zipf_s=2.0,
-        search_weight=0.40,
-        overview_weight=0.25,
-        explore_weight=0.10,
-        suggest_weight=0.10,
-        touch_weight=0.15,
+        mix=LOAD_MIX,
     )
     return LoadConfig(trace_slowest=5 if trace else 0, **base)
 
@@ -199,12 +191,10 @@ def test_bench_obs_report():
             f"Prometheus {export['prometheus_lines']} lines in "
             f"{export['prometheus_render_ms']} ms"
         )
-    write_result(
-        "BENCH_obs",
+    write_bench(
+        "obs",
         "Observability overhead: no-op vs live tracing on the concurrent "
         "load workload, plus exporter throughput",
         "\n".join(lines),
+        _rows,
     )
-    path = Path(RESULTS_DIR) / "BENCH_obs.json"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(_rows, indent=2) + "\n", encoding="utf-8")

@@ -17,15 +17,13 @@ The planned evaluator must beat the naive one on the skewed conjunction
 at every size, and lazy top-k must beat the full sort at 50k.  Emits
 ``benchmarks/results/BENCH_planner.json`` plus the usual text table.
 
-Set ``BENCH_PLANNER_SMOKE=1`` to run the small size only (CI smoke).
+Set ``BENCH_SMOKE=1`` to run the small size only (CI smoke).
+A smoke run writes ``BENCH_planner.smoke.json`` and ``.txt`` instead.
 """
 
-import json
-import os
 import time
-from pathlib import Path
 
-from benchmarks.conftest import RESULTS_DIR, write_result
+from benchmarks.conftest import SMOKE, write_bench
 from repro.core.query.evaluator import QueryEvaluator
 from repro.core.query.language import QueryLanguage
 from repro.core.ranking import Ranker
@@ -45,7 +43,7 @@ _rows: dict[str, dict] = {}
 
 
 def _sizes() -> dict[str, int]:
-    if os.environ.get("BENCH_PLANNER_SMOKE"):
+    if SMOKE:
         return {"1k": SIZES["1k"]}
     return dict(SIZES)
 
@@ -173,12 +171,10 @@ def test_bench_planner_report():
             f"{row['full_sort_ms']:>9.1f}"
             f"{row['top_k_ms']:>9.1f}"
         )
-    write_result(
-        "BENCH_planner",
+    payload = {"sizes": _rows}
+    write_bench(
+        "planner",
         "Cost-based planning vs naive evaluation; lazy top-k vs full sort",
         "\n".join(lines),
+        payload,
     )
-    payload = {"sizes": _rows}
-    path = Path(RESULTS_DIR) / "BENCH_planner.json"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")

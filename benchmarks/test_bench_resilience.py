@@ -16,15 +16,13 @@ it is what a user waits), so the numbers are exact and deterministic.
 The breaker-on p99 must be **strictly** below breaker-off.  Emits
 ``benchmarks/results/BENCH_resilience.json`` plus the usual text table.
 
-Set ``BENCH_RESILIENCE_SMOKE=1`` to run on a smaller catalog (CI smoke).
+Set ``BENCH_SMOKE=1`` to run on a smaller catalog (CI smoke).
+A smoke run writes ``BENCH_resilience.smoke.json`` and ``.txt`` instead.
 """
 
-import json
 import math
-import os
-from pathlib import Path
 
-from benchmarks.conftest import RESULTS_DIR, write_result
+from benchmarks.conftest import SMOKE, write_bench
 from repro.core.query.evaluator import QueryEvaluator
 from repro.core.query.language import QueryLanguage
 from repro.core.ranking import Ranker
@@ -51,7 +49,7 @@ _rows: dict[str, dict] = {}
 
 
 def _n_tables() -> int:
-    return 120 if os.environ.get("BENCH_RESILIENCE_SMOKE") else 550
+    return 120 if SMOKE else 550
 
 
 def _percentile(sorted_values: list[float], q: float) -> float:
@@ -165,12 +163,10 @@ def test_bench_resilience_report():
         f"threshold {meta['failure_threshold']}, "
         f"{meta['artifacts']} artifacts (simulated clock)"
     )
-    write_result(
-        "BENCH_resilience",
+    write_bench(
+        "resilience",
         "Search latency with a persistently failing provider: "
         "circuit breaker on vs off",
         "\n".join(lines),
+        _rows,
     )
-    path = Path(RESULTS_DIR) / "BENCH_resilience.json"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(_rows, indent=2) + "\n", encoding="utf-8")

@@ -26,24 +26,20 @@ drop engine's at a write:search ratio ≥ 1:1, with **zero** stale
 results in either mode.
 
 Emits ``benchmarks/results/BENCH_write_path.json`` plus a text table.
-Set ``BENCH_WRITE_PATH_SMOKE=1`` for the CI-sized run.
+Set ``BENCH_SMOKE=1`` for the CI-sized run.
+A smoke run writes ``BENCH_write_path.smoke.json`` and ``.txt`` instead.
 """
 
-import json
-import os
 import random
 import time
-from pathlib import Path
 
-from benchmarks.conftest import RESULTS_DIR, write_result
+from benchmarks.conftest import SMOKE, write_bench
 from repro.catalog.model import UsageEvent
 from repro.providers.base import ProviderRequest, RequestContext
 from repro.providers.builtin import BuiltinProviders, install_builtin_endpoints
 from repro.providers.execution import ExecutionEngine, ExecutionPolicy
 from repro.providers.registry import EndpointRegistry
 from repro.synth import SynthConfig, generate_catalog
-
-SMOKE = bool(os.environ.get("BENCH_WRITE_PATH_SMOKE"))
 
 #: Usage events per step (one coalesced batch) — and with one fetch per
 #: request per step the write:search ratio stays >= 1:1.
@@ -195,12 +191,6 @@ def test_bench_write_path_report():
             f"{row['delta_patches']:>7}{row['delta_fallbacks']:>7}"
             f"{row['coalesced_bumps']:>7}{row['stale_results']:>7}"
         )
-    write_result(
-        "BENCH_write_path",
-        "Streaming writes: delta-patched caches vs drop-and-refetch "
-        "(batched usage events, write:search >= 1:1)",
-        "\n".join(lines),
-    )
     payload = {
         "workload": {
             "batch_size": BATCH_SIZE,
@@ -210,6 +200,10 @@ def test_bench_write_path_report():
         },
         "engines": _rows,
     }
-    path = Path(RESULTS_DIR) / "BENCH_write_path.json"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    write_bench(
+        "write_path",
+        "Streaming writes: delta-patched caches vs drop-and-refetch "
+        "(batched usage events, write:search >= 1:1)",
+        "\n".join(lines),
+        payload,
+    )

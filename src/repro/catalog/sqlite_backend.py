@@ -508,14 +508,18 @@ class SqliteBackend(CatalogBackend):
 
     def put_user(self, user: User) -> None:
         self._ensure_membership()
-        previous = self._users.get(user.id)
-        if previous is not None:
-            names = self._users_by_name.get(previous.name.lower())
-            if names is not None:
-                names.discard(user.id)
-        self._users[user.id] = user
-        self._users_by_name.setdefault(user.name.lower(), set()).add(user.id)
-        self._dirty_users.add(user.id)
+        # Under the lock ``flush`` holds while it drains the dirty sets.
+        with self._lock:
+            previous = self._users.get(user.id)
+            if previous is not None:
+                names = self._users_by_name.get(previous.name.lower())
+                if names is not None:
+                    names.discard(user.id)
+            self._users[user.id] = user
+            self._users_by_name.setdefault(
+                user.name.lower(), set()
+            ).add(user.id)
+            self._dirty_users.add(user.id)
 
     def get_user(self, user_id: str) -> User | None:
         self._ensure_membership()
@@ -536,8 +540,9 @@ class SqliteBackend(CatalogBackend):
 
     def put_team(self, team: Team) -> None:
         self._ensure_membership()
-        self._teams[team.id] = team
-        self._dirty_teams.add(team.id)
+        with self._lock:  # as in put_user
+            self._teams[team.id] = team
+            self._dirty_teams.add(team.id)
 
     def get_team(self, team_id: str) -> Team | None:
         self._ensure_membership()
@@ -732,8 +737,9 @@ class SqliteBackend(CatalogBackend):
         return self._state.get(key)
 
     def set_state(self, key: str, value: str) -> None:
-        self._state[key] = value
-        self._dirty_state.add(key)
+        with self._lock:  # as in put_user
+            self._state[key] = value
+            self._dirty_state.add(key)
 
     def state_keys(self, prefix: str = "") -> list[str]:
         return sorted(k for k in self._state if k.startswith(prefix))

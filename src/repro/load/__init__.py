@@ -1,19 +1,13 @@
-"""Deterministic concurrent load generation over the workbook.
+"""Deterministic concurrent load generation.
 
-See :mod:`repro.load.workload` for the seeded session-script generator,
-:mod:`repro.load.harness` for the multi-threaded driver, isolation
-checks and :class:`LoadReport`, and :mod:`repro.load.federation` for
-the federated variant driving a partitioned deployment through the
-:class:`~repro.federation.facade.Discovery` facade with inline
-cross-catalog leak checks.
+See :mod:`repro.load.workload` for the seeded session-script generator
+and :mod:`repro.load.harness` for the multi-threaded driver, its inline
+isolation checks and :class:`LoadReport`.  One harness drives both
+deployments: ``LoadConfig(parts=1)`` one shared workbook, ``parts >= 2``
+a partitioned federation behind the
+:class:`~repro.federation.facade.Discovery` facade.
 """
 
-from repro.load.federation import (
-    FederatedLoadConfig,
-    FederatedLoadReport,
-    build_federated_workload,
-    run_federated_load,
-)
 from repro.load.harness import (
     LoadHarness,
     LoadReport,
@@ -29,17 +23,13 @@ from repro.load.workload import (
 )
 
 __all__ = [
-    "FederatedLoadConfig",
-    "FederatedLoadReport",
     "LoadConfig",
     "LoadHarness",
     "LoadReport",
     "Op",
     "SessionScript",
-    "build_federated_workload",
     "build_workload",
     "latency_middleware",
     "query_pool",
-    "run_federated_load",
     "run_load",
 ]

@@ -1,18 +1,24 @@
 """The concurrent multi-tenant load harness.
 
-Drives a deterministic workload (see :mod:`repro.load.workload`) over a
-shared :class:`~repro.workbook.app.WorkbookApp` from a thread pool —
-many simulated sessions in flight at once, the serving shape every
-single-request bench so far has ignored.  Each tenant (team) gets its
-own customization (a hidden overview provider) and, for alternating
-teams, a per-tenant policy overlay, so the run continuously exercises
-the engine's isolation guarantees while hammering its cache, breaker
-and single-flight paths.
+Drives a deterministic workload (see :mod:`repro.load.workload`) from a
+thread pool — many simulated sessions in flight at once, the serving
+shape every single-request bench ignores — over one of two deployments:
 
-The harness verifies isolation *inline*: every overview op checks that
-the tenant's own hidden provider is absent and that no *other* tenant's
-hide leaked into this tenant's tabs.  Violations are counted in the
-report — the acceptance gate is zero.
+* ``parts == 1``: one shared :class:`~repro.workbook.app.WorkbookApp`.
+  Each tenant (team) gets its own customization (a hidden overview
+  provider) and, for alternating teams, a per-tenant policy overlay, so
+  the run continuously exercises the engine's isolation guarantees while
+  hammering its cache, breaker and single-flight paths.
+* ``parts >= 2``: the corpus partitioned into member catalogs with
+  :func:`~repro.federation.partition.federate`, behind the
+  :class:`~repro.federation.facade.Discovery` facade.
+
+Both deployments run the same timed (and optionally traced) per-op loop
+and verify isolation *inline*.  On the workbook every overview op checks
+that the tenant's own hidden provider is absent and that no *other*
+tenant's hide leaked into this tenant's tabs; on the federation every
+search entry must be attributed to the member that owns its artifact.
+Violations are counted in the report — the acceptance gate is zero.
 
 Usage::
 
@@ -21,18 +27,19 @@ Usage::
     json.dumps(report.to_dict())
 
 ``single_flight=False`` runs the same workload against a naive engine
-(no cross-request coalescing) for A/B comparison.
+(no cross-request coalescing) for A/B comparison (single catalog only).
 """
 
 from __future__ import annotations
 
-import itertools
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from repro.catalog.store import CatalogStore
+from repro.federation.facade import Discovery
+from repro.federation.partition import federate
 from repro.load.workload import LoadConfig, SessionScript, build_workload
 from repro.obs.export import RingBufferExporter, render_span_tree
 from repro.obs.metrics import percentile
@@ -118,6 +125,7 @@ class LoadReport:
         totals = self.stats.get("totals", {})
         return {
             "mode": "batched" if self.single_flight else "naive",
+            "parts": self.config.parts,
             "sessions": self.config.sessions,
             "concurrency": self.config.concurrency,
             "seed": self.config.seed,
@@ -185,10 +193,11 @@ class LoadReport:
 
 
 class LoadHarness:
-    """Runs one workload over one engine configuration.
+    """Runs one workload over one deployment.
 
-    Owns the app/engine it builds; a harness is single-use — build,
-    :meth:`run`, read the report.
+    Owns the app or federation it builds; a harness is single-use —
+    build, :meth:`run`, read the report.  ``app`` (single catalog) or
+    ``discovery`` (federated) is the deployment under load.
     """
 
     def __init__(
@@ -200,50 +209,72 @@ class LoadHarness:
     ):
         self.config = config
         self.single_flight = single_flight
-        registry = EndpointRegistry()
-        install_builtin_endpoints(registry, BuiltinProviders(store))
-        middlewares = (
-            (latency_middleware(config.provider_latency_ms),)
-            if config.provider_latency_ms > 0
-            else ()
-        )
-        if policy is None:
-            policy = ExecutionPolicy.defaults().replace(
-                max_workers=max(2, min(8, config.concurrency))
-            )
-        self.engine = ExecutionEngine(
-            registry,
-            store=store,
-            policy=policy,
-            middlewares=middlewares,
-            single_flight=single_flight,
-        )
-        # Tracing is opt-in (config.trace_slowest > 0): every session op
-        # gets a root span, engine/evaluator spans nest under it, and the
-        # report reconstructs the slowest op traces from the ring buffer.
-        self._ring: RingBufferExporter | None = None
-        if config.trace_slowest > 0:
-            self._ring = RingBufferExporter()
-            self.engine.enable_tracing(self._ring)
-        self.app = WorkbookApp(store, registry=registry, engine=self.engine)
-        # One coalescing event stream shared by every session thread:
-        # "stream" ops buffer usage events here, so sustained write
-        # pressure arrives at the store as batched single-bump commits.
-        self.stream = store.stream(window_s=config.coalesce_window_s)
-        # Monotonic suffix for synthetic lineage sinks; unique ids keep
-        # concurrent edge appends cycle-free by construction.
-        self._lineage_seq = itertools.count()
+        self.store = store
         self._lock = threading.Lock()
         self._latencies: dict[str, list[float]] = {}
         self._errors = 0
         self._isolation_checks = 0
         self._isolation_violations = 0
+        # Tracing is opt-in (config.trace_slowest > 0): every session op
+        # gets a root span, engine/evaluator spans nest under it, and the
+        # report reconstructs the slowest op traces from the ring buffer.
+        self._ring = RingBufferExporter() if config.trace_slowest > 0 else None
+        if config.parts == 1:
+            self._serve_workbook(policy)
+        elif not single_flight:
+            raise ValueError(
+                "single_flight=False needs parts=1: the federation engine "
+                "always coalesces"
+            )
+        else:
+            self._serve_federation(policy)
+
+    # -- deployments -------------------------------------------------------
+
+    def _serve_workbook(self, policy: ExecutionPolicy | None) -> None:
+        registry = EndpointRegistry()
+        install_builtin_endpoints(registry, BuiltinProviders(self.store))
+        middlewares = (
+            (latency_middleware(self.config.provider_latency_ms),)
+            if self.config.provider_latency_ms > 0
+            else ()
+        )
+        if policy is None:
+            policy = ExecutionPolicy.defaults().replace(
+                max_workers=max(2, min(8, self.config.concurrency))
+            )
+        self.engine = ExecutionEngine(
+            registry,
+            store=self.store,
+            policy=policy,
+            middlewares=middlewares,
+            single_flight=self.single_flight,
+        )
+        if self._ring is not None:
+            self.engine.enable_tracing(self._ring)
+        self.app = WorkbookApp(
+            self.store, registry=registry, engine=self.engine
+        )
+        self._owner = None
+        self._close = self.app.close
+        self._open_session = lambda script: self.app.session(
+            script.user_id, script.team_id
+        )
+        self._ops = {
+            "search": lambda session, arg: session.search(arg, limit=20),
+            "overview": self._overview,
+            "explore": self._explore,
+            "suggest": lambda session, arg: session.suggest(arg, limit=8),
+            "touch": lambda session, arg: self.store.record(
+                arg, session.user_id, "view"
+            ),
+        }
         # Tenant setup: each team hides a different overview provider
         # (rotating), and alternating teams get their own policy overlay
         # — both must stay invisible to every other tenant.
         self._hidden_by_team: dict[str, str] = {}
         overview = [p.name for p in self.app.spec.visible_in("overview")]
-        teams = sorted(t.id for t in store.teams())
+        teams = sorted(t.id for t in self.store.teams())
         for index, team_id in enumerate(teams):
             if not overview:
                 break
@@ -255,57 +286,73 @@ class LoadHarness:
                     team_id, policy.replace(attempts=2)
                 )
 
-    # -- session driving ---------------------------------------------------
+    def _serve_federation(self, policy: ExecutionPolicy | None) -> None:
+        # The source store is left untouched (it stays the monolith the
+        # conformance tests compare against); the federation flushes its
+        # member stores on close.
+        federation, partition = federate(
+            self.store, self.config.parts, policy=policy
+        )
+        self.engine = federation.engine
+        if self._ring is not None:
+            federation.set_tracer(self.engine.enable_tracing(self._ring))
+        self.discovery = Discovery(federation)
+        self._owner = partition.assignment
+        self._close = self.discovery.close
+        # A federated session is stateless: ops act for the script's user.
+        self._open_session = lambda script: script
+        self._ops = {
+            "search": self._federated_search,
+            "artifact": lambda script, arg: self.discovery.artifact(arg),
+            "lineage": lambda script, arg: self.discovery.lineage(
+                arg, depth=2
+            ),
+        }
 
-    def _check_overview_isolation(self, team_id: str, tabs) -> None:
-        """Count tenant-customization leaks in an overview tab strip."""
-        names = {tab.provider_name for tab in tabs}
-        own_hidden = self._hidden_by_team.get(team_id)
+    # -- ops and inline isolation checks -----------------------------------
+
+    def _count_isolation(self, checks: int, violations: int) -> None:
         with self._lock:
-            self._isolation_checks += 1
-            if own_hidden is not None and own_hidden in names:
-                self._isolation_violations += 1
+            self._isolation_checks += checks
+            self._isolation_violations += violations
+
+    def _overview(self, session, arg: str) -> None:
+        """Open the overview and count tenant-customization leaks."""
+        names = {tab.provider_name for tab in session.open_browse()}
+        own_hidden = self._hidden_by_team.get(session.team_id)
         # A provider hidden only by *other* tenants must still be served
         # to this one — a disappearance means state bled across tenants.
         foreign_hidden = {
             hidden
             for team, hidden in self._hidden_by_team.items()
-            if team != team_id and hidden != own_hidden
+            if team != session.team_id and hidden != own_hidden
         }
-        leaked = foreign_hidden - names
-        if leaked:
-            with self._lock:
-                self._isolation_violations += len(leaked)
+        violations = len(foreign_hidden - names)
+        if own_hidden is not None and own_hidden in names:
+            violations += 1
+        self._count_isolation(1, violations)
 
-    def _run_op(self, session, op) -> None:
-        if op.kind == "search":
-            session.search(op.arg, limit=20)
-        elif op.kind == "overview":
-            tabs = session.open_browse()
-            self._check_overview_isolation(session.team_id, tabs)
-        elif op.kind == "explore":
-            session.select_artifact(op.arg)
-            session.explore_selection(limit=5)
-        elif op.kind == "suggest":
-            session.suggest(op.arg, limit=8)
-        elif op.kind == "touch":
-            self.app.store.record(op.arg, session.user_id, "view")
-        elif op.kind == "stream":
-            # A burst of usage events through the shared coalescing
-            # stream — the streaming write path under test.
-            for index in range(self.config.stream_burst):
-                action = "view" if index % 2 == 0 else "open"
-                self.stream.record(op.arg, session.user_id, action)
-        elif op.kind == "lineage":
-            self.app.store.lineage.add_edge(
-                op.arg, f"load-derived-{next(self._lineage_seq)}", "derives"
-            )
-        else:  # pragma: no cover - workload only emits known kinds
-            raise ValueError(f"unknown op kind {op.kind!r}")
+    def _explore(self, session, arg: str) -> None:
+        session.select_artifact(arg)
+        session.explore_selection(limit=5)
 
-    def _run_session(self, script: SessionScript) -> tuple[int, int]:
-        """Run one script; returns (ops completed, errors)."""
-        session = self.app.session(script.user_id, script.team_id)
+    def _federated_search(self, script: SessionScript, arg: str) -> None:
+        """Search the federation and check every entry's attribution
+        against the partition's assignment."""
+        result = self.discovery.search(
+            arg, user_id=script.user_id, team_id=script.team_id, limit=25
+        )
+        violations = sum(
+            self._owner.get(entry.ref.artifact_id) != entry.ref.catalog_id
+            for entry in result.entries
+        )
+        self._count_isolation(len(result.entries), violations)
+
+    # -- session driving ---------------------------------------------------
+
+    def _run_session(self, script: SessionScript) -> int:
+        """Run one script; returns the ops completed without error."""
+        session = self._open_session(script)
         completed = errors = 0
         local: dict[str, list[float]] = {}
         tracer = self.engine.tracer
@@ -316,7 +363,7 @@ class LoadHarness:
                     if span:
                         span.set("arg", op.arg)
                         span.set("user", script.user_id)
-                    self._run_op(session, op)
+                    self._ops[op.kind](session, op.arg)
             except Exception:
                 errors += 1
             else:
@@ -327,25 +374,22 @@ class LoadHarness:
             self._errors += errors
             for kind, samples in local.items():
                 self._latencies.setdefault(kind, []).extend(samples)
-        return completed, errors
+        return completed
 
     def run(self, scripts: list[SessionScript] | None = None) -> LoadReport:
         """Execute the workload with ``config.concurrency`` worker threads."""
         if scripts is None:
-            scripts = build_workload(self.app.store, self.config)
+            scripts = build_workload(
+                self.store, self.config, owner=self._owner
+            )
         started = time.perf_counter()
-        completed = 0
         with ThreadPoolExecutor(
             max_workers=self.config.concurrency,
             thread_name_prefix="load-session",
         ) as pool:
-            for done, _ in pool.map(self._run_session, scripts):
-                completed += done
-        # Drain any usage events still buffered in the coalescing window
-        # before the stats snapshot, so the report reflects every write.
-        self.stream.flush()
+            completed = sum(pool.map(self._run_session, scripts))
         wall_s = time.perf_counter() - started
-        self.app.close()
+        self._close()
         return LoadReport(
             config=self.config,
             single_flight=self.single_flight,

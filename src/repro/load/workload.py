@@ -1,9 +1,8 @@
 """Deterministic workload generation for the concurrent load harness.
 
 A workload is a list of :class:`SessionScript`\\ s — per-user operation
-sequences mixing search, overview, exploration, autocomplete and catalog
-writes ("touches"), the bursty query/explore mix the dataset-search UX
-study observed real users issuing.  Generation is fully seeded: the same
+sequences in the bursty query/explore mix the dataset-search UX study
+observed real users issuing.  Generation is fully seeded: the same
 :class:`LoadConfig` over the same catalog always yields the same scripts,
 so concurrent runs differ only in thread interleaving, never in the work
 itself.
@@ -19,31 +18,46 @@ audience looks like.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from collections.abc import Callable, Mapping, Sequence
+from dataclasses import dataclass
+from itertools import accumulate
 
 from repro.catalog.store import CatalogStore
+from repro.synth.workload import zipf_weights
 
-#: Operation kinds a script may contain.  ``stream`` and ``lineage`` are
-#: the write-heavy additions: a burst of usage events pushed through the
-#: store's coalescing :class:`~repro.catalog.events.EventStream`, and a
-#: lineage-edge append from inside a session thread.
-OP_KINDS = (
-    "search",
-    "overview",
-    "explore",
-    "suggest",
-    "touch",
-    "stream",
-    "lineage",
-)
+#: Op kinds and default weights of the single-catalog deployment, in
+#: draw order: search-heavy, with a steady stream of overview opens and
+#: selection-driven exploration, a trickle of autocomplete, and enough
+#: catalog writes ("touch": one usage event) to keep invalidation honest
+#: — a cache that is never invalidated makes every engine look fast.
+WORKBOOK_MIX: Mapping[str, float] = {
+    "search": 0.45,
+    "overview": 0.20,
+    "explore": 0.15,
+    "suggest": 0.10,
+    "touch": 0.10,
+}
+
+#: Op kinds and default weights of the federated deployment:
+#: cross-catalog searches, qualified-ref artifact resolution and
+#: cross-catalog lineage walks.
+FEDERATED_MIX: Mapping[str, float] = {
+    "search": 0.60,
+    "artifact": 0.25,
+    "lineage": 0.15,
+}
+
+#: Autocomplete prefixes ``suggest`` ops draw from.
+SUGGEST_PREFIXES = ("ty", "bad", "tag", "own", "air", "ord")
 
 
 @dataclass(frozen=True)
 class Op:
     """One scripted session action.
 
-    ``arg`` is the query (search), artifact id (explore/touch) or prefix
-    (suggest); overview opens need no argument.
+    ``arg`` is the query (search), artifact id or qualified ref
+    (explore/touch/artifact/lineage) or prefix (suggest); overview opens
+    need no argument.
     """
 
     kind: str
@@ -61,37 +75,23 @@ class SessionScript:
 
 @dataclass(frozen=True)
 class LoadConfig:
-    """Knobs for workload generation.
-
-    The mix weights default to the study's observed shape: search-heavy,
-    with a steady stream of overview opens and selection-driven
-    exploration, a trickle of autocomplete, and enough catalog writes to
-    keep invalidation honest (a cache that is never invalidated makes
-    every engine look fast).
-    """
+    """Knobs for workload generation and the harness that drives it."""
 
     seed: int = 7
     sessions: int = 64
     ops_per_session: int = 6
     concurrency: int = 8
-    #: Zipf exponent for query and user popularity; higher = more skew.
+    #: Zipf exponent for query, user and artifact popularity; higher =
+    #: more skew.
     zipf_s: float = 1.1
-    search_weight: float = 0.45
-    overview_weight: float = 0.20
-    explore_weight: float = 0.15
-    suggest_weight: float = 0.10
-    touch_weight: float = 0.10
-    #: Write-heavy mix: weight of usage-event bursts pushed through the
-    #: store's coalescing event stream, and of lineage-edge appends.
-    #: Both default to 0 so existing configs keep their exact op mix.
-    stream_weight: float = 0.0
-    lineage_weight: float = 0.0
-    #: Usage events per ``stream`` op (one burst -> one coalesced batch).
-    stream_burst: int = 8
-    #: Coalescing window of the shared event stream (seconds).
-    coalesce_window_s: float = 0.05
+    #: Member catalogs: 1 drives one shared ``WorkbookApp``; >= 2
+    #: partitions the corpus with ``federate`` and drives ``Discovery``.
+    parts: int = 1
+    #: Op kind -> weight; kinds left out weigh 0.  None takes the
+    #: deployment's default, :data:`WORKBOOK_MIX` or :data:`FEDERATED_MIX`.
+    mix: Mapping[str, float] | None = None
     #: Fixed latency injected per provider invocation, simulating a
-    #: remote metadata service; 0 disables injection.
+    #: remote metadata service; 0 disables injection (single catalog only).
     provider_latency_ms: float = 0.0
     #: When > 0, the harness traces every session op and the report's
     #: ``slowest`` block holds the N slowest op span trees; 0 keeps the
@@ -105,37 +105,43 @@ class LoadConfig:
             raise ValueError("concurrency must be >= 1")
         if self.zipf_s <= 0:
             raise ValueError("zipf_s must be > 0")
-        if self.stream_burst < 1:
-            raise ValueError("stream_burst must be >= 1")
-        if self.coalesce_window_s < 0:
-            raise ValueError("coalesce_window_s must be >= 0")
+        if self.parts < 1:
+            raise ValueError("parts must be >= 1")
         if self.trace_slowest < 0:
             raise ValueError("trace_slowest must be >= 0")
-        weights = self._weights()
-        if any(w < 0 for w in weights) or sum(weights) <= 0:
+        if self.parts > 1 and self.provider_latency_ms:
+            raise ValueError(
+                "provider_latency_ms needs parts=1: the federation engine "
+                "takes no injected latency"
+            )
+        weights = self.weights()
+        unknown = sorted(set(self.mix or ()) - set(weights))
+        if unknown:
+            raise ValueError(
+                f"unknown op kinds {unknown} for parts={self.parts}; "
+                f"expected a subset of {list(weights)}"
+            )
+        if any(w < 0 for w in weights.values()) or sum(weights.values()) <= 0:
             raise ValueError("mix weights must be >= 0 and not all zero")
 
-    def _weights(self) -> tuple[float, ...]:
-        return (
-            self.search_weight,
-            self.overview_weight,
-            self.explore_weight,
-            self.suggest_weight,
-            self.touch_weight,
-            self.stream_weight,
-            self.lineage_weight,
-        )
+    def weights(self) -> dict[str, float]:
+        """The op mix in draw order (the deployment's kind order)."""
+        default = WORKBOOK_MIX if self.parts == 1 else FEDERATED_MIX
+        if self.mix is None:
+            return dict(default)
+        return {kind: self.mix.get(kind, 0.0) for kind in default}
 
 
-def _zipf_ranks(n: int, s: float) -> list[float]:
-    """Unnormalised Zipf weights for ranks 1..n."""
-    return [1.0 / (rank ** s) for rank in range(1, n + 1)]
+def _zipf_picker(
+    items: Sequence[str], s: float
+) -> Callable[[random.Random], str]:
+    """Draw Zipf-distributed items — the first is the hottest.
 
-
-def _zipf_choice(rng: random.Random, n: int, s: float) -> int:
-    """A Zipf-distributed index in [0, n) — rank 0 is the hottest."""
-    weights = _zipf_ranks(n, s)
-    return rng.choices(range(n), weights=weights, k=1)[0]
+    The cumulative weights are built once per pool; ``random.choices``
+    over them makes exactly the draws it makes from the plain weights.
+    """
+    cum_weights = list(accumulate(zipf_weights(len(items), s)))
+    return lambda rng: rng.choices(items, cum_weights=cum_weights, k=1)[0]
 
 
 def query_pool(store: CatalogStore) -> list[str]:
@@ -169,70 +175,52 @@ def query_pool(store: CatalogStore) -> list[str]:
     return unique
 
 
-@dataclass
-class _Pools:
-    """Catalog-derived choice pools, computed once per workload."""
+def build_workload(
+    store: CatalogStore,
+    config: LoadConfig,
+    owner: Mapping[str, str] | None = None,
+) -> list[SessionScript]:
+    """Generate ``config.sessions`` deterministic session scripts.
 
-    queries: list[str] = field(default_factory=list)
-    users: list[str] = field(default_factory=list)
-    teams: dict[str, str] = field(default_factory=dict)  # user -> team
-    artifacts: list[str] = field(default_factory=list)
-    prefixes: list[str] = field(default_factory=list)
-
-
-def _pools(store: CatalogStore) -> _Pools:
-    pools = _Pools()
-    pools.queries = query_pool(store)
-    for user in store.users():
-        pools.users.append(user.id)
-        teams = store.teams_of(user.id)
-        pools.teams[user.id] = teams[0].id if teams else ""
-    pools.artifacts = store.artifact_ids()
-    pools.prefixes = ["ty", "bad", "tag", "own", "air", "ord"]
-    if not pools.users:
+    *owner* maps artifact id -> member catalog id (a partition's
+    ``assignment``); given it, artifact args are qualified
+    ``member:artifact`` refs, valid for exactly that federation.
+    """
+    users = store.users()
+    if not users:
         raise ValueError("catalog has no users to simulate")
-    if not pools.artifacts:
+    artifacts = store.artifact_ids()
+    if not artifacts:
         raise ValueError("catalog has no artifacts to explore")
-    return pools
+    if owner is not None:
+        artifacts = [f"{owner[aid]}:{aid}" for aid in artifacts]
+    team_of = {}
+    for user in users:
+        teams = store.teams_of(user.id)
+        team_of[user.id] = teams[0].id if teams else ""
+    pick_user = _zipf_picker([user.id for user in users], config.zipf_s)
+    pick_query = _zipf_picker(query_pool(store), config.zipf_s)
+    pick_artifact = _zipf_picker(artifacts, config.zipf_s)
+    mix = config.weights()
+    kinds = tuple(mix)
+    cum_weights = list(accumulate(mix.values()))
 
-
-def build_workload(store: CatalogStore, config: LoadConfig) -> list[SessionScript]:
-    """Generate ``config.sessions`` deterministic session scripts."""
     rng = random.Random(config.seed)
-    pools = _pools(store)
-    weights = config._weights()
     scripts: list[SessionScript] = []
     for _ in range(config.sessions):
-        user = pools.users[_zipf_choice(rng, len(pools.users), config.zipf_s)]
+        user = pick_user(rng)
         ops: list[Op] = []
         for _ in range(config.ops_per_session):
-            kind = rng.choices(OP_KINDS, weights=weights, k=1)[0]
+            kind = rng.choices(kinds, cum_weights=cum_weights, k=1)[0]
             if kind == "search":
-                query = pools.queries[
-                    _zipf_choice(rng, len(pools.queries), config.zipf_s)
-                ]
-                ops.append(Op("search", query))
+                arg = pick_query(rng)
             elif kind == "overview":
-                ops.append(Op("overview"))
-            elif kind == "explore":
-                artifact = pools.artifacts[
-                    _zipf_choice(rng, len(pools.artifacts), config.zipf_s)
-                ]
-                ops.append(Op("explore", artifact))
+                arg = ""
             elif kind == "suggest":
-                ops.append(Op("suggest", rng.choice(pools.prefixes)))
+                arg = rng.choice(SUGGEST_PREFIXES)
             else:
-                # The remaining kinds are all catalog writes keyed on a
-                # Zipf-hot artifact: "touch" records one usage event
-                # synchronously, "stream" pushes a burst through the
-                # coalescing event stream, "lineage" appends an edge.
-                artifact = pools.artifacts[
-                    _zipf_choice(rng, len(pools.artifacts), config.zipf_s)
-                ]
-                ops.append(Op(kind, artifact))
-        scripts.append(
-            SessionScript(
-                user_id=user, team_id=pools.teams[user], ops=tuple(ops)
-            )
-        )
+                # Every other kind acts on one Zipf-hot artifact.
+                arg = pick_artifact(rng)
+            ops.append(Op(kind, arg))
+        scripts.append(SessionScript(user, team_of[user], tuple(ops)))
     return scripts

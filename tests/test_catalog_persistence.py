@@ -6,7 +6,7 @@ import threading
 
 import pytest
 
-from repro.catalog.model import Artifact, UsageEvent, User
+from repro.catalog.model import Artifact, Team, UsageEvent, User
 from repro.catalog.persistence import (
     FORMAT_VERSION,
     catalog_from_dict,
@@ -14,6 +14,7 @@ from repro.catalog.persistence import (
     load_catalog,
     save_catalog,
 )
+from repro.catalog.sqlite_backend import SqliteBackend
 from repro.catalog.store import CatalogStore
 from repro.errors import CatalogError
 
@@ -261,3 +262,73 @@ class TestWriteBehindUnderConcurrentFlush:
                 reopened.usage_stats(aid).view_count for aid in ids
             ) == events
             assert reopened.lineage.edge_count == self.EDGES
+
+    @pytest.mark.parametrize(
+        "table, write, persisted",
+        [
+            ("users",
+             lambda b: b.put_user(User(id="u2", name="Bo")),
+             lambda b: b.get_user("u2") is not None),
+            ("teams",
+             lambda b: b.put_team(Team(id="t2", name="Two")),
+             lambda b: b.get_team("t2") is not None),
+            ("meta",
+             lambda b: b.set_state("probe", "1"),
+             lambda b: b.get_state("probe") == "1"),
+        ],
+        ids=("users", "teams", "meta"),
+    )
+    def test_membership_and_state_survive_a_concurrent_flush(
+        self, tmp_path, table, write, persisted
+    ):
+        """Deterministic: the write starts on a second thread from inside
+        ``flush``'s own ``executemany`` into *table*, after that batch's
+        rows were read and before its dirty set is cleared."""
+        path = tmp_path / "catalog.db"
+        backend = SqliteBackend(path)
+        # Dirty every buffer, so flush reaches each executemany.
+        backend.put_user(User(id="u1", name="Ada"))
+        backend.put_team(Team(id="t1", name="One"))
+        backend.set_state("seed", "1")
+        writers: list[threading.Thread] = []
+
+        class HookedConnection:
+            def __init__(self, conn):
+                self._conn = conn
+
+            def __enter__(self):
+                return self._conn.__enter__()
+
+            def __exit__(self, *exc_info):
+                return self._conn.__exit__(*exc_info)
+
+            def __getattr__(self, name):
+                return getattr(self._conn, name)
+
+            def executemany(self, sql, rows):
+                cursor = self._conn.executemany(sql, rows)
+                if not writers and sql.startswith(
+                    f"INSERT OR REPLACE INTO {table}("
+                ):
+                    wrote = threading.Event()
+                    writer = threading.Thread(
+                        target=lambda: (write(backend), wrote.set())
+                    )
+                    writers.append(writer)
+                    writer.start()
+                    # Unlocked, the write lands now; locked, it waits
+                    # for the flush to finish.
+                    wrote.wait(timeout=0.5)
+                return cursor
+
+        backend._conn = HookedConnection(backend._conn)
+        backend.flush()
+        assert len(writers) == 1
+        writers[0].join(timeout=30)
+        assert not writers[0].is_alive()
+        backend.close()
+        reopened = SqliteBackend(path)
+        try:
+            assert persisted(reopened)
+        finally:
+            reopened.close()

@@ -429,22 +429,6 @@ class TestDiscoveryFacade:
             Discovery.open(federation, spec=default_spec())
         Discovery.open(federation).close()
 
-    def test_concurrent_federated_load_has_no_leaks_or_errors(self, corpus):
-        from repro.load import FederatedLoadConfig, run_federated_load
-
-        report = run_federated_load(
-            corpus,
-            FederatedLoadConfig(sessions=16, ops_per_session=4,
-                                concurrency=4, parts=3),
-        )
-        assert report.errors == 0
-        assert report.leakage_violations == 0
-        assert report.leakage_checks > 0
-        assert report.ops == 16 * 4
-        rendered = report.render()
-        assert "leakage=0" in rendered
-        assert report.to_dict()["parts"] == 3
-
     def test_lineage_and_health_surface(self):
         left, right = two_member_stores()
         with Discovery.open(members={"left": left, "right": right}) as d:

@@ -73,10 +73,9 @@ def test_the_scan_actually_matches_the_old_idioms():
 
 
 def test_obs_owns_the_one_percentile_implementation():
-    from repro.load import federation, harness
+    from repro.load import harness
     from repro.obs.metrics import percentile
     from repro.providers import execution
 
     assert harness.percentile is percentile
-    assert federation.percentile is percentile
     assert execution.summarize_latencies.__module__ == "repro.obs.metrics"
