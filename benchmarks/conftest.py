@@ -7,8 +7,10 @@ run.  EXPERIMENTS.md indexes those files.
 
 The ``BENCH_*`` benches also emit a JSON record through
 :func:`write_bench`.  ``BENCH_SMOKE=1`` runs every one of them at its
-small CI size and writes ``BENCH_<name>.smoke.{txt,json}`` instead, so a
-smoke run never overwrites a committed full-scale record.
+small CI size.  Under it every writer here names its output
+``<id>.smoke.*`` (``E8_scaling.smoke.txt``,
+``BENCH_<name>.smoke.{txt,json}``), so a smoke run never overwrites a
+committed full-scale record.
 """
 
 from __future__ import annotations
@@ -35,10 +37,15 @@ LOAD_MIX = {"search": 0.40, "overview": 0.25, "explore": 0.10,
             "suggest": 0.10, "touch": 0.15}
 
 
+def _stem(experiment_id: str) -> str:
+    return f"{experiment_id}.smoke" if SMOKE else experiment_id
+
+
 def write_result(experiment_id: str, title: str, body: str) -> Path:
-    """Persist one experiment's output table."""
+    """Persist one experiment's output table (``<id>.smoke.txt`` under
+    ``BENCH_SMOKE``)."""
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-    path = RESULTS_DIR / f"{experiment_id}.txt"
+    path = RESULTS_DIR / f"{_stem(experiment_id)}.txt"
     path.write_text(f"{experiment_id} — {title}\n\n{body}\n", encoding="utf-8")
     return path
 
@@ -47,9 +54,8 @@ def write_bench(name: str, title: str, body: str, payload: object) -> Path:
     """Persist one ``BENCH_<name>`` record: the text table and the JSON
     payload.  Smoke runs write ``BENCH_<name>.smoke.*`` beside the
     full-scale record instead of over it.  Returns the JSON path."""
-    stem = f"BENCH_{name}.smoke" if SMOKE else f"BENCH_{name}"
-    write_result(stem, title, body)
-    path = RESULTS_DIR / f"{stem}.json"
+    write_result(f"BENCH_{name}", title, body)
+    path = RESULTS_DIR / f"{_stem(f'BENCH_{name}')}.json"
     path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     return path
 

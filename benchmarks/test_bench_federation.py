@@ -28,23 +28,13 @@ import math
 import time
 
 from benchmarks.conftest import SMOKE, write_bench
-from repro.core.query.evaluator import QueryEvaluator
-from repro.core.query.language import QueryLanguage
-from repro.core.ranking import Ranker
 from repro.federation import federate, member_search_endpoint_uri
 from repro.load.workload import query_pool
-from repro.providers.builtin import BuiltinProviders, install_builtin_endpoints
-from repro.providers.execution import (
-    ExecutionEngine,
-    ExecutionPolicy,
-    RequestContext,
-)
+from repro.providers.execution import ExecutionPolicy, RequestContext
 from repro.providers.faults import FlakyEndpoint, LatencySpikeEndpoint
-from repro.providers.fields import FieldResolver
-from repro.providers.registry import EndpointRegistry
-from repro.providers.suite import default_spec
 from repro.synth import SynthConfig, generate_catalog
 from repro.util.clock import SimulationClock
+from repro.workbook.app import WorkbookApp
 
 PARTS = 4
 SLOW_MEMBER = "cat3"
@@ -88,12 +78,8 @@ def test_bench_federation_healthy_fanout_comparable_p50():
     rounds = 3 if SMOKE else 10
     no_cache = ExecutionPolicy.defaults().replace(cache_ttl_s=0)
 
-    engine = ExecutionEngine(EndpointRegistry(), store=store, policy=no_cache)
-    install_builtin_endpoints(engine.registry, BuiltinProviders(store))
-    mono = QueryEvaluator(
-        store, engine, QueryLanguage(default_spec()),
-        Ranker(FieldResolver(store)),
-    )
+    app = WorkbookApp(store, policy=no_cache)
+    mono = app.interface.evaluator
     mono_ms: list[float] = []
     for _ in range(rounds):
         for query in queries:
@@ -104,7 +90,7 @@ def test_bench_federation_healthy_fanout_comparable_p50():
                 limit=50,
             )
             mono_ms.append((time.perf_counter() - started) * 1000.0)
-    engine.close()
+    app.close()
 
     federation, partition = federate(store, PARTS, policy=no_cache)
     fed_ms: list[float] = []

@@ -27,9 +27,8 @@ from benchmarks.conftest import SMOKE, write_bench
 from repro.core.query.evaluator import QueryEvaluator
 from repro.core.query.language import QueryLanguage
 from repro.core.ranking import Ranker
-from repro.providers.builtin import BuiltinProviders, install_builtin_endpoints
+from repro.providers.builtin import builtin_engine
 from repro.providers.fields import FieldResolver
-from repro.providers.registry import EndpointRegistry
 from repro.providers.suite import default_spec
 from repro.synth import SynthConfig, generate_catalog
 
@@ -58,11 +57,9 @@ def _best_of(fn, rounds: int = 3) -> float:
 
 
 def _evaluator(store, planning: bool) -> QueryEvaluator:
-    registry = EndpointRegistry()
-    install_builtin_endpoints(registry, BuiltinProviders(store))
     evaluator = QueryEvaluator(
         store,
-        registry,
+        builtin_engine(store),
         QueryLanguage(default_spec()),
         Ranker(FieldResolver(store)),
     )

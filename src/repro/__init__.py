@@ -11,16 +11,18 @@ specification of metadata providers.  The quickest way in:
     session.open_home()
     result = session.search('type: table owned_by: "Alex" badged: endorsed')
 
-Or, through the stable :class:`Discovery` facade (the single supported
-entry point for single-catalog *and* federated deployments):
+Or, through :class:`Discovery` (the single supported entry point for
+single-catalog *and* federated deployments; each member catalog is
+served by the same generated ``DiscoveryInterface`` a ``WorkbookApp``
+uses):
 
     with repro.Discovery.open(study_catalog()) as discovery:
         result = discovery.search("badged: endorsed")
 
 **Public API.**  The names in ``__all__`` below are the supported
 surface: entry points (``Discovery``, ``WorkbookApp``), the catalog
-substrate (``CatalogStore``), federation (``FederatedCatalog``,
-``CatalogRef``), the execution layer (``ExecutionEngine``,
+substrate (``CatalogStore``), federation (``Discovery``,
+``CatalogRef``, ``FederatedSearchResult``), the execution layer (``ExecutionEngine``,
 ``ExecutionPolicy``), query parsing/explaining (``parse_query``,
 ``explain``) and the spec/provider vocabulary.  Anything imported from
 a deeper module is internal and may change without notice — internal
@@ -38,8 +40,8 @@ Package layout:
 * :mod:`repro.core` — the paper's contribution: spec, ranking, query
   language, view generation, interface construction;
 * :mod:`repro.workbook` — the headless host application;
-* :mod:`repro.federation` — multi-catalog federation and the
-  :class:`Discovery` facade;
+* :mod:`repro.federation` — multi-catalog federation: the
+  :class:`Discovery` class over member discovery interfaces;
 * :mod:`repro.obs` — observability: request tracing (``Tracer``,
   span-tree rendering, exporters) and the label-aware metrics registry
   every serving layer reports into;
@@ -54,7 +56,6 @@ from repro.core.query.nlq import explain
 from repro.federation import (
     CatalogRef,
     Discovery,
-    FederatedCatalog,
     FederatedSearchResult,
 )
 from repro.core.spec import (
@@ -102,7 +103,6 @@ __all__ = [
     "EndpointRegistry",
     "ExecutionEngine",
     "ExecutionPolicy",
-    "FederatedCatalog",
     "FederatedSearchResult",
     "HumboldtSpec",
     "JsonlExporter",

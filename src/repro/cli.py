@@ -247,7 +247,7 @@ def _open_discovery(args) -> Discovery:
             raise FederationError("--federate needs at least 2 members")
         with contextlib.closing(_resolve_store(args)) as store:
             federation, _ = federate(store, args.federate)
-        return Discovery(federation)
+        return federation
     members: dict[str, Path] = {}
     for item in args.member:
         name, sep, path = item.partition("=")
@@ -279,8 +279,8 @@ def _federated_search(args, out) -> int:
             # One tracer shared by the federation engine and every
             # member engine, so the whole fan-out lands in one trace.
             ring = RingBufferExporter()
-            discovery.federation.set_tracer(Tracer(exporters=(ring,)))
-        users = discovery.federation.users()
+            discovery.set_tracer(Tracer(exporters=(ring,)))
+        users = discovery.users()
         user_id = args.user or (users[0].id if users else "")
         print(f"federation: {len(discovery.members())} members "
               f"({', '.join(discovery.members())})", file=out)

@@ -1,9 +1,10 @@
 """The generated data discovery interface.
 
 :class:`DiscoveryInterface` is what Humboldt produces for a host
-application: hand it a catalog, an endpoint registry and a specification
-and it generates overview tabs (Figure 7B/C), spec-driven search with
-autocomplete (Figure 7A), view filtering, and exploration from selections.
+application: hand it a catalog, an execution engine (whose registry
+serves the spec's endpoints) and a specification and it generates
+overview tabs (Figure 7B/C), spec-driven search with autocomplete
+(Figure 7A), view filtering, and exploration from selections.
 Swapping the spec swaps the UI — no code here knows any provider.
 
 **Stability: internal.**  Import through :mod:`repro` / the package
@@ -29,7 +30,6 @@ from repro.errors import MissingInputError, ProviderError, UnknownProviderError
 from repro.providers.base import ProviderRequest, RequestContext
 from repro.providers.execution import (
     ExecutionEngine,
-    ExecutionPolicy,
     ExecutionStats,
     FetchStatus,
     ProviderHealth,
@@ -54,24 +54,17 @@ class DiscoveryInterface:
     def __init__(
         self,
         store: CatalogStore,
-        registry: EndpointRegistry,
+        engine: ExecutionEngine,
         spec: HumboldtSpec,
         customization: Customization | None = None,
         validate: bool = True,
-        engine: ExecutionEngine | None = None,
-        policy: ExecutionPolicy | None = None,
     ):
         if validate:
-            validate_spec(spec, registry=registry)
+            validate_spec(spec, registry=engine.registry)
         self.store = store
-        self.registry = registry
         #: The single execution layer every fetch of this interface (and
-        #: its evaluator/exploration consumers) routes through.  *policy*
-        #: configures a newly-built engine; ignored when *engine* is
-        #: passed in (the caller already configured it).
-        self.engine = engine or ExecutionEngine(
-            registry, store=store, policy=policy
-        )
+        #: its evaluator/exploration consumers) routes through.
+        self.engine = engine
         self.spec = spec
         # Surface spec-declared metadata-domain dependencies to the
         # engine so dependency-aware cache invalidation covers endpoints
@@ -85,7 +78,7 @@ class DiscoveryInterface:
         self.resolver = FieldResolver(store)
         self.ranker = Ranker(self.resolver)
         self.language = QueryLanguage(spec)
-        self.evaluator = QueryEvaluator(store, self.engine, self.language, self.ranker)
+        self.evaluator = QueryEvaluator(store, engine, self.language, self.ranker)
         self.factory = ViewFactory(store, spec, self.ranker)
         self.autocompleter = Autocompleter(self.language, store)
         #: (provider, message) pairs skipped during the last overview
@@ -95,6 +88,11 @@ class DiscoveryInterface:
         #: (ok, stale, skipped and error alike) — the interface-level
         #: degradation report backing the CLI's ``health`` subcommand.
         self.last_health: list[ProviderHealth] = []
+
+    @property
+    def registry(self) -> EndpointRegistry:
+        """The endpoint registry the engine resolves the spec against."""
+        return self.engine.registry
 
     # -- spec evolution -----------------------------------------------------
 
@@ -110,11 +108,7 @@ class DiscoveryInterface:
         """
         self.engine.invalidate()
         return DiscoveryInterface(
-            store=self.store,
-            registry=self.registry,
-            spec=spec,
-            customization=self.customization,
-            engine=self.engine,
+            self.store, self.engine, spec, customization=self.customization
         )
 
     # -- overviews (§5.1) ------------------------------------------------------

@@ -119,15 +119,11 @@ class QueryEvaluator:
     def __init__(
         self,
         store: CatalogStore,
-        engine: "ExecutionEngine | EndpointRegistry",
+        engine: ExecutionEngine,
         language: QueryLanguage,
         ranker: Ranker,
     ):
         self.store = store
-        # Accept a bare registry for convenience (tests, embedders) and
-        # wrap it; all fetches go through an engine either way.
-        if isinstance(engine, EndpointRegistry):
-            engine = ExecutionEngine(engine, store=store)
         self.engine = engine
         self.language = language
         self.ranker = ranker

@@ -1,24 +1,24 @@
 """Federated multi-catalog discovery (ROADMAP item 5).
 
 One discovery surface over N member catalogs: catalog-qualified
-addressing (:mod:`.refs`), engine-mediated search fan-out with
-per-member degradation and rank-aware merging (:mod:`.catalog`),
-deterministic partitioning for conformance testing (:mod:`.partition`),
-and the stable :class:`~repro.federation.facade.Discovery` entry point
-(:mod:`.facade`).
+addressing (:mod:`.refs`), the :class:`~repro.federation.catalog.Discovery`
+class whose members are generated discovery interfaces, with
+engine-mediated search fan-out, per-member degradation and rank-aware
+merging (:mod:`.catalog`), and deterministic partitioning for
+conformance testing (:mod:`.partition`).
 """
 
 from repro.federation.catalog import (
+    DEFAULT_MEMBER,
     FETCH_LIMIT,
     CrossCatalogEdge,
-    FederatedCatalog,
+    Discovery,
     FederatedEdge,
     FederatedEntry,
     FederatedLineage,
     FederatedSearchResult,
     member_search_endpoint_uri,
 )
-from repro.federation.facade import DEFAULT_MEMBER, Discovery
 from repro.federation.partition import (
     CatalogPartition,
     federate,
@@ -41,7 +41,6 @@ __all__ = [
     "CatalogRef",
     "CrossCatalogEdge",
     "Discovery",
-    "FederatedCatalog",
     "FederatedEdge",
     "FederatedEntry",
     "FederatedLineage",

@@ -1,21 +1,36 @@
-"""The federated catalog: one discovery surface over N member catalogs.
+"""``Discovery``: one discovery surface over one or many catalogs.
 
-ROADMAP item 5 (catalog-of-catalogs): a :class:`FederatedCatalog`
-registers any mix of member :class:`~repro.catalog.store.CatalogStore`
-backends — fully-resident in-memory stores and lazily-loaded sqlite
-files side by side — behind the store's read API with
-catalog-qualified ids (see :mod:`repro.federation.refs`).
+:class:`Discovery` is the supported entry point for both shapes of
+deployment::
 
-Cross-catalog search is a fan-out through the execution layer, not a
-bespoke loop: each member owns a full single-catalog query stack
-(registry, engine, evaluator), and the federation registers one
-``fed://<catalog_id>/search`` endpoint per member on its *own*
-registry/engine.  A federated search becomes one
-:meth:`~repro.providers.execution.ExecutionEngine.execute_many` batch,
-so per-member retries, TTL caches, circuit breakers, deadline budgets
-and stale-serving all apply per member for free — one slow or failing
-member degrades the result (flagged, partial) instead of sinking the
-whole query.
+    # single catalog (in-memory, a saved JSON store, or a sqlite path)
+    with repro.Discovery.open(store) as discovery:
+        result = discovery.search("badged: endorsed")
+
+    # federated: any mix of live stores and sqlite paths
+    with repro.Discovery.open(members={
+        "sales": "catalogs/sales.db",
+        "ml": ml_store,
+    }, default="sales") as discovery:
+        result = discovery.search("type: table", budget_ms=250.0)
+        artifact = discovery.artifact("ml:table-00042")
+
+A single-catalog ``open(source)`` is a one-member federation named
+``main`` (:data:`DEFAULT_MEMBER`); bare artifact ids resolve against the
+default member, so the same object grows to N members without its call
+sites changing.
+
+Each member is the same generated
+:class:`~repro.core.interface.discovery.DiscoveryInterface` a
+:class:`~repro.workbook.app.WorkbookApp` serves, on its own execution
+engine with the built-in provider suite installed.  Cross-catalog search
+is a fan-out through the execution layer, not a bespoke loop: the
+federation registers one ``fed://<catalog_id>/search`` endpoint per
+member on its *own* registry/engine, so a federated search becomes one
+:meth:`~repro.providers.execution.ExecutionEngine.execute_many` batch and
+per-member retries, TTL caches, circuit breakers, deadline budgets and
+stale-serving all apply per member — one slow or failing member degrades
+the result (flagged, partial) instead of sinking the whole query.
 
 Merging is **rank-aware interleaving**: members return their full
 scored match lists (scores are per-artifact — no cross-artifact
@@ -34,16 +49,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Mapping, Sequence
 
 from repro.catalog.domains import DOMAINS
 from repro.catalog.lineage import LineageEdge
-from repro.catalog.model import Artifact, ArtifactType, Team, User
+from repro.catalog.model import Artifact, User
 from repro.catalog.store import CatalogStore
-from repro.catalog.usage import UsageStats
-from repro.core.query.evaluator import QueryEvaluator
-from repro.core.query.language import QueryLanguage
-from repro.core.ranking import Ranker
+from repro.core.interface.discovery import DiscoveryInterface
 from repro.core.spec.model import HumboldtSpec
 from repro.federation.refs import (
     CatalogRef,
@@ -53,18 +65,26 @@ from repro.federation.refs import (
     validate_catalog_id,
 )
 from repro.obs.trace import Tracer
-from repro.providers.base import ProviderRequest, RequestContext
-from repro.providers.builtin import BuiltinProviders, install_builtin_endpoints
+from repro.providers.base import (
+    ProviderRequest,
+    ProviderResult,
+    Representation,
+    RequestContext,
+    ScoredArtifact,
+)
+from repro.providers.builtin import builtin_engine
 from repro.providers.execution import (
     ExecutionEngine,
     ExecutionPolicy,
     FetchStatus,
     ProviderHealth,
 )
-from repro.providers.fields import FieldResolver
 from repro.providers.registry import EndpointRegistry
 from repro.providers.suite import default_spec
 from repro.util.clock import SimulationClock
+
+#: The member name a single-catalog ``Discovery.open(source)`` uses.
+DEFAULT_MEMBER = "main"
 
 #: Per-member fetch cap for federated search fan-outs; mirrors
 #: :attr:`QueryEvaluator.fetch_limit` so a member contributes its full
@@ -158,21 +178,25 @@ class FederatedLineage:
 
 @dataclass
 class _Member:
-    """One registered catalog plus its private single-catalog stack."""
+    """One registered catalog and the discovery interface serving it."""
 
     catalog_id: str
-    store: CatalogStore
-    evaluator: QueryEvaluator
+    interface: DiscoveryInterface
     owned: bool = False
+
+    @property
+    def store(self) -> CatalogStore:
+        return self.interface.store
 
 
 class _MemberSearchEndpoint:
     """The fan-out leaf: one member's full scored match list.
 
-    Runs the member's own evaluator at the federation fetch cap so the
-    returned payload is the member's *complete* ranked match list (the
-    global top-k over disjoint members is a subset of the union of the
-    members' lists only when no member pre-truncates below the cap).
+    Runs the member interface's evaluator (not ``interface.search``,
+    which would also build a card per hit) at the federation fetch cap,
+    so the returned payload is the member's *complete* ranked match list
+    (the global top-k over disjoint members is a subset of the union of
+    the members' lists only when no member pre-truncates below the cap).
     The result rides the execution layer's normal ``ProviderResult``
     envelope, so the federation engine can cache, stale-serve and
     invalidate it like any provider payload.
@@ -181,21 +205,14 @@ class _MemberSearchEndpoint:
     def __init__(self, member: _Member):
         self._member = member
 
-    def __call__(self, request: ProviderRequest):
-        from repro.providers.base import (
-            ProviderResult,
-            Representation,
-            ScoredArtifact,
-        )
-
-        query = request.input("query")
+    def __call__(self, request: ProviderRequest) -> ProviderResult:
         context = RequestContext(
             user_id=request.context.user_id,
             team_id=request.context.team_id,
             limit=FETCH_LIMIT,
         )
-        result = self._member.evaluator.search(
-            query, context=context, limit=FETCH_LIMIT
+        result = self._member.interface.evaluator.search(
+            request.input("query"), context=context, limit=FETCH_LIMIT
         )
         return ProviderResult(
             representation=Representation.LIST,
@@ -207,7 +224,7 @@ class _MemberSearchEndpoint:
 
 
 class _FederatedStoreView:
-    """Duck-typed version surface the federation engine invalidates on.
+    """The version surface the federation engine invalidates on.
 
     The engine only needs ``version``/``domain_versions`` from its store
     to sweep dependent cache entries; summing the members' counters (plus
@@ -217,7 +234,7 @@ class _FederatedStoreView:
     its coarse drop path rather than attempting cross-catalog deltas.
     """
 
-    def __init__(self, catalog: "FederatedCatalog"):
+    def __init__(self, catalog: "Discovery"):
         self._catalog = catalog
 
     @property
@@ -235,18 +252,15 @@ class _FederatedStoreView:
                 totals[domain] = totals.get(domain, 0) + value
         return totals
 
-    def domain_version(self, domain: str) -> int:
-        return self.domain_versions[domain]
 
-
-class FederatedCatalog:
-    """N member catalogs behind one read/search/lineage surface.
+class Discovery:
+    """One discovery surface over N member catalogs.
 
     Members are added with :meth:`add_member` (a live store, or a path
-    opened as a persistent sqlite catalog); the first member added — or
-    an explicit :meth:`set_default` — becomes the default that bare
-    (unqualified) artifact ids resolve against, which keeps
-    single-catalog call sites working unchanged.
+    opened as a persistent sqlite catalog) or through :meth:`open`; the
+    first member added — or an explicit :meth:`set_default` — becomes the
+    default that bare (unqualified) artifact ids resolve against, which
+    keeps single-catalog call sites working unchanged.
     """
 
     def __init__(
@@ -259,23 +273,63 @@ class FederatedCatalog:
         self._spec = spec or default_spec()
         self._policy = policy or ExecutionPolicy.defaults()
         self._clock = clock
-        self._language = QueryLanguage(self._spec)
         self._members: dict[str, _Member] = {}
         self._default_id: str | None = None
         #: Bumped on membership/topology changes so the engine's
         #: version-keyed caches can never serve a pre-change merge.
         self._generation = 0
-        self._registry = EndpointRegistry()
-        self._store_view = _FederatedStoreView(self)
         self._engine = ExecutionEngine(
-            self._registry,
-            store=self._store_view,
+            EndpointRegistry(),
+            store=_FederatedStoreView(self),
             policy=self._policy,
             clock=self._clock,
         )
         self._cross_edges: list[CrossCatalogEdge] = []
         #: Shared tracer, when tracing is enabled via :meth:`set_tracer`.
         self._tracer: "Tracer | None" = None
+
+    @classmethod
+    def open(
+        cls,
+        source: "CatalogStore | Discovery | str | Path | None" = None,
+        *,
+        members: "Mapping[str, CatalogStore | str | Path] | None" = None,
+        default: str | None = None,
+        spec: HumboldtSpec | None = None,
+        policy: ExecutionPolicy | None = None,
+        clock: SimulationClock | None = None,
+    ) -> "Discovery":
+        """Open a discovery surface.
+
+        Pass exactly one of *source* (a single catalog: a live store or a
+        sqlite path, registered as :data:`DEFAULT_MEMBER`; an existing
+        :class:`Discovery` is returned unchanged) or *members* (name ->
+        store/path, registered in mapping order).  *default* names the
+        member bare artifact ids resolve against (defaults to the first
+        member).  Paths are opened as persistent catalogs owned — and
+        closed — by the federation.
+        """
+        if (source is None) == (members is None):
+            raise FederationError(
+                "pass exactly one of `source` (single catalog) or "
+                "`members` (federated deployment)"
+            )
+        if isinstance(source, Discovery):
+            if spec is not None or policy is not None or clock is not None:
+                raise FederationError(
+                    "spec/policy/clock are fixed by the Discovery passed "
+                    "as source"
+                )
+            return source
+        discovery = cls(spec=spec, policy=policy, clock=clock)
+        if source is not None:
+            discovery.add_member(DEFAULT_MEMBER, source, default=True)
+        else:
+            for catalog_id, member_source in members.items():
+                discovery.add_member(catalog_id, member_source)
+            if default is not None:
+                discovery.set_default(default)
+        return discovery
 
     # -- observability -----------------------------------------------------
 
@@ -292,12 +346,16 @@ class FederatedCatalog:
         self._tracer = tracer
         self._engine.tracer = tracer
         for member in self._members.values():
-            member.evaluator.engine.tracer = tracer
+            member.interface.engine.tracer = tracer
 
     @property
     def tracer(self) -> "Tracer":
         """The active tracer (the engine's no-op tracer by default)."""
         return self._engine.tracer
+
+    def render_health(self) -> str:
+        """Per-member endpoint resilience state, human-readable."""
+        return self._engine.render_health()
 
     # -- membership --------------------------------------------------------
 
@@ -313,7 +371,10 @@ class FederatedCatalog:
         *source* may be a live :class:`CatalogStore` (caller keeps
         ownership; the federation only flushes it on close) or a path,
         opened as a persistent catalog the federation owns and closes.
-        The first member registered becomes the default automatically.
+        The member is served by its own :class:`DiscoveryInterface` over
+        an engine with the built-in provider suite installed and the
+        federation's policy, clock and tracer.  The first member
+        registered becomes the default automatically.
         """
         validate_catalog_id(catalog_id)
         if catalog_id in self._members:
@@ -321,27 +382,17 @@ class FederatedCatalog:
                 f"catalog {catalog_id!r} is already registered"
             )
         owned = not isinstance(source, CatalogStore)
-        store = source if isinstance(source, CatalogStore) else CatalogStore.open(source)
-        engine = ExecutionEngine(
-            EndpointRegistry(),
-            store=store,
-            policy=self._policy,
-            clock=self._clock,
-        )
-        if self._tracer is not None:
-            engine.tracer = self._tracer
-        install_builtin_endpoints(engine.registry, BuiltinProviders(store))
-        evaluator = QueryEvaluator(
-            store, engine, self._language, Ranker(FieldResolver(store))
+        store = CatalogStore.open(source) if owned else source
+        engine = builtin_engine(
+            store, policy=self._policy, clock=self._clock, tracer=self._tracer
         )
         member = _Member(
             catalog_id=catalog_id,
-            store=store,
-            evaluator=evaluator,
+            interface=DiscoveryInterface(store, engine, self._spec),
             owned=owned,
         )
         self._members[catalog_id] = member
-        self._registry.register(
+        self._engine.registry.register(
             member_search_endpoint_uri(catalog_id),
             _MemberSearchEndpoint(member),
         )
@@ -357,11 +408,11 @@ class FederatedCatalog:
         self._generation += 1
 
     @property
-    def default_id(self) -> str | None:
+    def default_member(self) -> str | None:
         return self._default_id
 
-    def member_ids(self) -> tuple[str, ...]:
-        """Registered member ids, registration order."""
+    def members(self) -> tuple[str, ...]:
+        """Registered member catalog ids, registration order."""
         return tuple(self._members)
 
     def member_store(self, catalog_id: str) -> CatalogStore:
@@ -371,7 +422,7 @@ class FederatedCatalog:
     @property
     def registry(self) -> EndpointRegistry:
         """The federation-level registry holding the member endpoints."""
-        return self._registry
+        return self._engine.registry
 
     @property
     def engine(self) -> ExecutionEngine:
@@ -384,20 +435,14 @@ class FederatedCatalog:
         except KeyError:
             raise UnknownCatalogError(catalog_id, self._members) from None
 
-    # -- addressing --------------------------------------------------------
+    # -- reads (qualified ids) ---------------------------------------------
 
     def parse(self, ref: "str | CatalogRef") -> CatalogRef:
         """Resolve a (possibly bare) ref against the registered members."""
         return parse_ref(ref, self._members, default=self._default_id)
 
-    def qualify(self, catalog_id: str, artifact_id: str) -> str:
-        """The qualified id for a member-local artifact id."""
-        self._member(catalog_id)
-        return CatalogRef(catalog_id, artifact_id).qualified
-
-    # -- store read API (qualified ids) ------------------------------------
-
     def artifact(self, ref: "str | CatalogRef") -> Artifact:
+        """Resolve a (possibly bare) ref to its artifact."""
         parsed = self.parse(ref)
         return self._member(parsed.catalog_id).store.artifact(parsed.artifact_id)
 
@@ -409,50 +454,6 @@ class FederatedCatalog:
         member = self._members.get(parsed.catalog_id)
         return member is not None and member.store.has_artifact(parsed.artifact_id)
 
-    def resolve(self, refs: Iterable["str | CatalogRef"]) -> list[Artifact]:
-        """Map refs to artifacts, skipping ones that do not resolve."""
-        return [self.artifact(ref) for ref in refs if self.has_artifact(ref)]
-
-    @property
-    def artifact_count(self) -> int:
-        return sum(m.store.artifact_count for m in self._members.values())
-
-    def artifact_ids(self) -> list[str]:
-        """All qualified ids: members in registration order, ids sorted
-        within each member (each member's own deterministic order)."""
-        return self._collect(lambda store: store.artifact_ids())
-
-    def by_type(self, artifact_type: "ArtifactType | str") -> list[str]:
-        return self._collect(lambda store: store.by_type(artifact_type))
-
-    def by_owner(self, user_id: str) -> list[str]:
-        return self._collect(lambda store: store.by_owner(user_id))
-
-    def by_badge(self, badge: str, granted_by: str | None = None) -> list[str]:
-        return self._collect(lambda store: store.by_badge(badge, granted_by))
-
-    def by_tag(self, tag: str) -> list[str]:
-        return self._collect(lambda store: store.by_tag(tag))
-
-    def by_team(self, team_id: str) -> list[str]:
-        return self._collect(lambda store: store.by_team(team_id))
-
-    def by_token(self, token: str) -> list[str]:
-        return self._collect(lambda store: store.by_token(token))
-
-    def search_tokens(self, tokens: Iterable[str]) -> list[str]:
-        tokens = list(tokens)
-        return self._collect(lambda store: store.search_tokens(tokens))
-
-    def _collect(self, accessor) -> list[str]:
-        qualified: list[str] = []
-        for catalog_id, member in self._members.items():
-            qualified.extend(
-                CatalogRef(catalog_id, artifact_id).qualified
-                for artifact_id in accessor(member.store)
-            )
-        return qualified
-
     def users(self) -> list[User]:
         """Union of member user directories, first registration wins."""
         seen: dict[str, User] = {}
@@ -460,26 +461,6 @@ class FederatedCatalog:
             for user in member.store.users():
                 seen.setdefault(user.id, user)
         return list(seen.values())
-
-    def teams(self) -> list[Team]:
-        seen: dict[str, Team] = {}
-        for member in self._members.values():
-            for team in member.store.teams():
-                seen.setdefault(team.id, team)
-        return list(seen.values())
-
-    def usage_stats(self, ref: "str | CatalogRef") -> UsageStats:
-        parsed = self.parse(ref)
-        return self._member(parsed.catalog_id).store.usage_stats(parsed.artifact_id)
-
-    @property
-    def version(self) -> int:
-        """Aggregate mutation counter (member sums + membership changes)."""
-        return self._store_view.version
-
-    @property
-    def domain_versions(self) -> dict[str, int]:
-        return self._store_view.domain_versions
 
     # -- search ------------------------------------------------------------
 
@@ -733,23 +714,27 @@ class FederatedCatalog:
         """
         self._engine.close()
         for member in self._members.values():
-            member.evaluator.engine.close()
+            member.interface.engine.close()
             if member.owned:
                 member.store.close()
             else:
                 member.store.flush()
 
-    def __enter__(self) -> "FederatedCatalog":
+    def __enter__(self) -> "Discovery":
         return self
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
 
 
+#: The name the per-layer benchmark tracer patches ``search`` under.
+FederatedCatalog = Discovery
+
 __all__ = [
+    "DEFAULT_MEMBER",
     "FETCH_LIMIT",
     "CrossCatalogEdge",
-    "FederatedCatalog",
+    "Discovery",
     "FederatedEdge",
     "FederatedEntry",
     "FederatedLineage",

@@ -21,7 +21,7 @@ from typing import Sequence
 
 from repro.catalog.store import CatalogStore
 from repro.core.spec.model import HumboldtSpec
-from repro.federation.catalog import FederatedCatalog
+from repro.federation.catalog import Discovery
 from repro.federation.refs import CatalogRef, FederationError, validate_catalog_id
 from repro.providers.execution import ExecutionPolicy
 from repro.util.clock import SimulationClock
@@ -117,15 +117,15 @@ def federate(
     spec: HumboldtSpec | None = None,
     policy: ExecutionPolicy | None = None,
     clock: SimulationClock | None = None,
-) -> tuple[FederatedCatalog, CatalogPartition]:
-    """Partition *store* and stand a :class:`FederatedCatalog` over it.
+) -> tuple[Discovery, CatalogPartition]:
+    """Partition *store* and stand a :class:`Discovery` over it.
 
     The first member becomes the default; cross-partition lineage edges
     are registered as the federation's cross-catalog edges.  Returns the
     federation plus the partition (for assignment/leakage checks).
     """
     partition = partition_catalog(store, parts, prefix=prefix)
-    federation = FederatedCatalog(spec=spec, policy=policy, clock=clock)
+    federation = Discovery(spec=spec, policy=policy, clock=clock)
     for name, member_store in partition.members.items():
         federation.add_member(name, member_store)
     for src, dst, kind in partition.cross_edges:

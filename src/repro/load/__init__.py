@@ -4,8 +4,8 @@ See :mod:`repro.load.workload` for the seeded session-script generator
 and :mod:`repro.load.harness` for the multi-threaded driver, its inline
 isolation checks and :class:`LoadReport`.  One harness drives both
 deployments: ``LoadConfig(parts=1)`` one shared workbook, ``parts >= 2``
-a partitioned federation behind the
-:class:`~repro.federation.facade.Discovery` facade.
+a partitioned federation served by
+:class:`~repro.federation.catalog.Discovery`.
 """
 
 from repro.load.harness import (

@@ -10,8 +10,8 @@ shape every single-request bench ignores — over one of two deployments:
   the run continuously exercises the engine's isolation guarantees while
   hammering its cache, breaker and single-flight paths.
 * ``parts >= 2``: the corpus partitioned into member catalogs with
-  :func:`~repro.federation.partition.federate`, behind the
-  :class:`~repro.federation.facade.Discovery` facade.
+  :func:`~repro.federation.partition.federate`, served by the
+  :class:`~repro.federation.catalog.Discovery` it returns.
 
 Both deployments run the same timed (and optionally traced) per-op loop
 and verify isolation *inline*.  On the workbook every overview op checks
@@ -38,20 +38,17 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from repro.catalog.store import CatalogStore
-from repro.federation.facade import Discovery
 from repro.federation.partition import federate
 from repro.load.workload import LoadConfig, SessionScript, build_workload
 from repro.obs.export import RingBufferExporter, render_span_tree
 from repro.obs.metrics import percentile
-from repro.providers.builtin import BuiltinProviders, install_builtin_endpoints
+from repro.providers.builtin import builtin_engine
 from repro.providers.execution import (
     CallNext,
-    ExecutionEngine,
     ExecutionPolicy,
     ProviderRequest,
     ProviderResult,
 )
-from repro.providers.registry import EndpointRegistry
 from repro.workbook.app import WorkbookApp
 
 
@@ -232,8 +229,6 @@ class LoadHarness:
     # -- deployments -------------------------------------------------------
 
     def _serve_workbook(self, policy: ExecutionPolicy | None) -> None:
-        registry = EndpointRegistry()
-        install_builtin_endpoints(registry, BuiltinProviders(self.store))
         middlewares = (
             (latency_middleware(self.config.provider_latency_ms),)
             if self.config.provider_latency_ms > 0
@@ -243,18 +238,15 @@ class LoadHarness:
             policy = ExecutionPolicy.defaults().replace(
                 max_workers=max(2, min(8, self.config.concurrency))
             )
-        self.engine = ExecutionEngine(
-            registry,
-            store=self.store,
+        self.engine = builtin_engine(
+            self.store,
             policy=policy,
             middlewares=middlewares,
             single_flight=self.single_flight,
         )
         if self._ring is not None:
             self.engine.enable_tracing(self._ring)
-        self.app = WorkbookApp(
-            self.store, registry=registry, engine=self.engine
-        )
+        self.app = WorkbookApp(self.store, engine=self.engine)
         self._owner = None
         self._close = self.app.close
         self._open_session = lambda script: self.app.session(
@@ -290,13 +282,12 @@ class LoadHarness:
         # The source store is left untouched (it stays the monolith the
         # conformance tests compare against); the federation flushes its
         # member stores on close.
-        federation, partition = federate(
+        self.discovery, partition = federate(
             self.store, self.config.parts, policy=policy
         )
-        self.engine = federation.engine
+        self.engine = self.discovery.engine
         if self._ring is not None:
-            federation.set_tracer(self.engine.enable_tracing(self._ring))
-        self.discovery = Discovery(federation)
+            self.discovery.set_tracer(self.engine.enable_tracing(self._ring))
         self._owner = partition.assignment
         self._close = self.discovery.close
         # A federated session is stateless: ops act for the script's user.

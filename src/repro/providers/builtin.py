@@ -45,6 +45,7 @@ from repro.providers.base import (
     ScoredArtifact,
     depends_on,
 )
+from repro.providers.execution import ExecutionEngine
 from repro.providers.fields import FieldResolver
 from repro.providers.registry import EndpointRegistry
 
@@ -678,6 +679,15 @@ def install_builtin_endpoints(
         )
         uris.append(uri)
     return sorted(uris)
+
+
+def builtin_engine(store: CatalogStore, **options) -> ExecutionEngine:
+    """An execution engine over *store* whose fresh registry holds the
+    built-in suite; *options* are further :class:`ExecutionEngine`
+    keyword arguments (policy, clock, middlewares, ...)."""
+    registry = EndpointRegistry()
+    install_builtin_endpoints(registry, BuiltinProviders(store))
+    return ExecutionEngine(registry, store=store, **options)
 
 
 def group_ids_by(

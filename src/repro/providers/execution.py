@@ -907,11 +907,9 @@ class ExecutionEngine:
         self._cache: OrderedDict[RequestKey, _CacheEntry] = OrderedDict()
         self._seen_store_version = store.version if store is not None else -1
         self._seen_registry_version = registry.version
-        # Per-domain counters seen at the last sweep; None when the store
-        # predates domain versioning (duck-typed), forcing full flushes.
-        versions = getattr(store, "domain_versions", None)
-        self._seen_domain_versions: dict[str, int] | None = (
-            dict(versions) if isinstance(versions, dict) else None
+        # Per-domain counters seen at the last sweep.
+        self._seen_domain_versions: dict[str, int] = (
+            store.domain_versions if store is not None else {}
         )
         # Write-ahead log cursor: each invalidation sweep drains the
         # store's event records from here so patchable mutations *update*
@@ -1254,8 +1252,7 @@ class ExecutionEngine:
         if cached is not None:
             self.stats.count("estimates", endpoint)
             return len(cached.artifact_ids())
-        getter = getattr(self.registry, "estimator", None)
-        estimator = getter(endpoint) if callable(getter) else None
+        estimator = self.registry.estimator(endpoint)
         if estimator is None:
             try:
                 resolved = self.registry.resolve(endpoint)
@@ -1413,7 +1410,7 @@ class ExecutionEngine:
         frozen = coerce_domains(domains)
         if not frozen:
             return
-        generation = self._registration_generation(endpoint)
+        generation = self.registry.registration_generation(endpoint)
         with self._lock:
             entry = self._dependency_overlay.get(endpoint)
             current = (
@@ -1433,13 +1430,11 @@ class ExecutionEngine:
         declaration of its own must fall back to conservative
         invalidation, not inherit its predecessor's narrower set.
         """
-        declared = self.registry.dependencies(endpoint) if hasattr(
-            self.registry, "dependencies"
-        ) else None
+        declared = self.registry.dependencies(endpoint)
         with self._lock:
             entry = self._dependency_overlay.get(endpoint)
-            if entry is not None and entry[0] != self._registration_generation(
-                endpoint
+            if entry is not None and entry[0] != (
+                self.registry.registration_generation(endpoint)
             ):
                 del self._dependency_overlay[endpoint]
                 entry = None
@@ -1447,11 +1442,6 @@ class ExecutionEngine:
         if declared is None and overlaid is None:
             return None
         return (declared or frozenset()) | (overlaid or frozenset())
-
-    def _registration_generation(self, endpoint: str) -> int:
-        """The registry's stamp for *endpoint*'s current registration."""
-        getter = getattr(self.registry, "registration_generation", None)
-        return getter(endpoint) if callable(getter) else 0
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -1573,17 +1563,13 @@ class ExecutionEngine:
             return
         self._seen_store_version = version
         self._mirror_coalesced_bumps()
-        current = getattr(self.store, "domain_versions", None)
-        if not isinstance(current, dict) or self._seen_domain_versions is None:
-            # Store without domain versioning: monolithic behaviour.
-            self._cache.clear()
-            return
+        current = self.store.domain_versions
         changed = {
             domain
             for domain, counter in current.items()
             if self._seen_domain_versions.get(domain) != counter
         }
-        self._seen_domain_versions = dict(current)
+        self._seen_domain_versions = current
         if not changed:
             return
         self._apply_domain_changes(changed)
@@ -1656,7 +1642,7 @@ class ExecutionEngine:
                 if not (deps & patchable):
                     continue  # unaffected by this sweep
                 if endpoint not in patchers:
-                    patchers[endpoint] = self._patcher_for(endpoint)
+                    patchers[endpoint] = self.registry.patcher(endpoint)
                 patcher = patchers[endpoint]
                 if patcher is None:
                     del self._cache[key]
@@ -1683,11 +1669,6 @@ class ExecutionEngine:
                 sp.set("records", len(records))
                 sp.set("patched", patched_n)
                 sp.set("dropped", dropped_n)
-
-    def _patcher_for(self, endpoint: str) -> ResultPatcher | None:
-        getter = getattr(self.registry, "patcher", None)
-        patcher = getter(endpoint) if callable(getter) else None
-        return patcher if callable(patcher) else None
 
     # -- execution internals -------------------------------------------------
 
@@ -1921,12 +1902,7 @@ class ExecutionEngine:
         """
         if self.store is None:
             return (self.registry.version, -1, None)
-        versions = getattr(self.store, "domain_versions", None)
-        domains = (
-            tuple(sorted(versions.items()))
-            if isinstance(versions, dict)
-            else None
-        )
+        domains = tuple(sorted(self.store.domain_versions.items()))
         return (self.registry.version, self.store.version, domains)
 
     def _cacheable_despite_mutation(
@@ -1939,16 +1915,13 @@ class ExecutionEngine:
         current = self._version_stamp()
         if stamp[0] != current[0]:
             return False  # endpoint may have been swapped mid-flight
-        old_domains, new_domains = stamp[2], current[2]
-        if old_domains is None or new_domains is None:
-            return False
         deps = self.dependencies_for(endpoint)
         if deps is None:
             return False  # undeclared: conservative, as everywhere else
-        old = dict(old_domains)
+        old = dict(stamp[2])
         changed = {
             domain
-            for domain, counter in new_domains
+            for domain, counter in current[2]
             if old.get(domain) != counter
         }
         return not (deps & changed)

@@ -1,10 +1,10 @@
 """The workbook application object.
 
-Owns the catalog, the endpoint registry with the built-in provider suite
-installed, and the generated discovery interface.  Hosts create sessions
-per user; spec updates (e.g. a team admin reconfiguring a home page)
-regenerate the interface in place, which is exactly the upgrade-free
-evolution the paper claims.
+Owns the catalog, the execution engine (by default one whose registry
+holds the built-in provider suite), and the generated discovery
+interface.  Hosts create sessions per user; spec updates (e.g. a team
+admin reconfiguring a home page) regenerate the interface in place,
+which is exactly the upgrade-free evolution the paper claims.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from repro.core.interface.exploration import ExplorationEngine
 from repro.core.interface.homepage import HomePageManager
 from repro.core.spec.customization import Customization
 from repro.core.spec.model import HumboldtSpec
-from repro.providers.builtin import BuiltinProviders, install_builtin_endpoints
+from repro.providers.builtin import builtin_engine
 from repro.providers.execution import (
     ExecutionEngine,
     ExecutionPolicy,
@@ -33,27 +33,21 @@ class WorkbookApp:
         self,
         store: CatalogStore,
         spec: HumboldtSpec | None = None,
-        registry: EndpointRegistry | None = None,
         policy: ExecutionPolicy | None = None,
         engine: ExecutionEngine | None = None,
     ):
         self.store = store
-        self.registry = registry or EndpointRegistry()
-        self.providers = BuiltinProviders(store)
-        if registry is None:
-            install_builtin_endpoints(self.registry, self.providers)
         self.customization = Customization()
         # *engine* lets hosts (e.g. the load harness) hand in a
         # pre-configured execution layer — custom middlewares, single-
-        # flight toggles, tenant policies; *policy* configures a
-        # newly-built one and is ignored when *engine* is given.
+        # flight toggles, tenant policies — whose registry serves the
+        # spec; *policy* configures the built-in engine made otherwise
+        # and is ignored when *engine* is given.
         self.interface = DiscoveryInterface(
-            store=store,
-            registry=self.registry,
-            spec=spec or default_spec(),
+            store,
+            engine or builtin_engine(store, policy=policy),
+            spec or default_spec(),
             customization=self.customization,
-            policy=policy,
-            engine=engine,
         )
         self.exploration = ExplorationEngine(self.interface)
         self.home_pages = HomePageManager(self.interface)
@@ -61,6 +55,11 @@ class WorkbookApp:
     @property
     def spec(self) -> HumboldtSpec:
         return self.interface.spec
+
+    @property
+    def registry(self) -> EndpointRegistry:
+        """The endpoint registry of this app's engine."""
+        return self.engine.registry
 
     @property
     def engine(self) -> ExecutionEngine:

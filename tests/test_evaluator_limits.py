@@ -10,9 +10,9 @@ import pytest
 from repro.core.query.evaluator import QueryEvaluator
 from repro.core.query.language import QueryLanguage
 from repro.core.ranking import Ranker
-from repro.providers.builtin import BuiltinProviders, install_builtin_endpoints
+from repro.providers.builtin import builtin_engine
+from repro.providers.execution import ExecutionEngine
 from repro.providers.fields import FieldResolver
-from repro.providers.registry import EndpointRegistry
 from repro.providers.suite import default_spec
 from repro.synth import SynthConfig, generate_catalog
 
@@ -21,10 +21,8 @@ from repro.synth import SynthConfig, generate_catalog
 def big_eval():
     store = generate_catalog(SynthConfig(seed=19, n_tables=120,
                                          usage_events=1000))
-    registry = EndpointRegistry()
-    install_builtin_endpoints(registry, BuiltinProviders(store))
     language = QueryLanguage(default_spec())
-    evaluator = QueryEvaluator(store, registry, language,
+    evaluator = QueryEvaluator(store, builtin_engine(store), language,
                                Ranker(FieldResolver(store)))
     return store, evaluator
 
@@ -91,7 +89,7 @@ class TestPrefetchIdentity:
         store, evaluator = big_eval
         serial = QueryEvaluator(
             store,
-            evaluator.registry,
+            ExecutionEngine(evaluator.registry, store=store),
             evaluator.language,
             evaluator.ranker,
         )

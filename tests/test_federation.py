@@ -1,10 +1,11 @@
 """Federated multi-catalog discovery: refs, conformance, degradation,
-backend mix, lineage stitching and the ``Discovery`` facade.
+backend mix, lineage stitching and ``Discovery.open``.
 
-The conformance class is the PR's acceptance gate: a federation over k
-disjoint members must return, for the study-task query mix, exactly the
-result set — ids *and* ordering — that one merged monolith returns, with
-zero cross-catalog leakage.
+The conformance class is the federation's acceptance gate: a federation
+over k disjoint members must return, for the study-task query mix,
+exactly the result set — ids, ordering, scores and totals — that the
+single-catalog ``WorkbookApp`` stack returns over the merged catalog,
+with zero cross-catalog leakage.
 """
 
 from __future__ import annotations
@@ -13,13 +14,9 @@ import pytest
 
 from repro.catalog.model import Artifact, ArtifactType, Team, User
 from repro.catalog.store import CatalogStore
-from repro.core.query.evaluator import QueryEvaluator
-from repro.core.query.language import QueryLanguage
-from repro.core.ranking import Ranker
 from repro.federation import (
     CatalogRef,
     Discovery,
-    FederatedCatalog,
     FederationError,
     UnknownCatalogError,
     federate,
@@ -29,28 +26,16 @@ from repro.federation import (
     validate_catalog_id,
 )
 from repro.load.workload import query_pool
-from repro.providers.builtin import BuiltinProviders, install_builtin_endpoints
-from repro.providers.execution import ExecutionEngine, RequestContext
+from repro.providers.execution import RequestContext
 from repro.providers.faults import FlakyEndpoint
-from repro.providers.fields import FieldResolver
-from repro.providers.registry import EndpointRegistry
 from repro.providers.suite import default_spec
 from repro.synth import SynthConfig, generate_catalog
 from repro.util.clock import DAY, SimulationClock
+from repro.workbook.app import WorkbookApp
 
 
 # ---------------------------------------------------------------------------
 # helpers
-
-
-def monolith_evaluator(store: CatalogStore) -> QueryEvaluator:
-    """The single-catalog evaluator a federation must reproduce."""
-    engine = ExecutionEngine(EndpointRegistry(), store=store)
-    install_builtin_endpoints(engine.registry, BuiltinProviders(store))
-    return QueryEvaluator(
-        store, engine, QueryLanguage(default_spec()),
-        Ranker(FieldResolver(store)),
-    )
 
 
 def two_member_stores() -> tuple[CatalogStore, CatalogStore]:
@@ -91,9 +76,9 @@ def two_member_stores() -> tuple[CatalogStore, CatalogStore]:
     return left, right
 
 
-def two_member_federation() -> FederatedCatalog:
+def two_member_federation() -> Discovery:
     left, right = two_member_stores()
-    federation = FederatedCatalog()
+    federation = Discovery()
     federation.add_member("left", left)
     federation.add_member("right", right)
     return federation
@@ -158,9 +143,17 @@ class TestConformance:
     @pytest.fixture(scope="class")
     def setup(self, corpus):
         federation, partition = federate(corpus, 3)
-        mono = monolith_evaluator(corpus)
-        yield corpus, federation, partition, mono
-        mono.engine.close()
+        yield corpus, federation, partition
+        federation.close()
+
+    @pytest.fixture(scope="class", params=[1, 3], ids=lambda p: f"parts={p}")
+    def stacks(self, corpus, request):
+        """The federation over *parts* members and the monolith it must
+        reproduce: the evaluator of the ``WorkbookApp`` stack."""
+        federation, _ = federate(corpus, request.param)
+        app = WorkbookApp(corpus)
+        yield corpus, federation, app.interface.evaluator
+        app.close()
         federation.close()
 
     def _context(self, store):
@@ -169,7 +162,7 @@ class TestConformance:
         return user.id, teams[0].id if teams else ""
 
     def test_partition_is_disjoint_and_total(self, setup):
-        store, federation, partition, _ = setup
+        store, federation, partition = setup
         all_ids = set(store.artifact_ids())
         assert set(partition.assignment) == all_ids
         member_ids: list[str] = []
@@ -178,8 +171,8 @@ class TestConformance:
         assert len(member_ids) == len(all_ids)
         assert set(member_ids) == all_ids
 
-    def test_query_mix_matches_monolith_ids_and_ordering(self, setup):
-        store, federation, partition, mono = setup
+    def test_query_mix_matches_monolith_ids_and_ordering(self, stacks):
+        store, federation, mono = stacks
         user_id, team_id = self._context(store)
         queries = query_pool(store) + [
             "type: table & badged: endorsed",
@@ -197,11 +190,14 @@ class TestConformance:
             )
             expected_ids = [e.artifact_id for e in expected.entries]
             assert got.bare_ids() == expected_ids, query
+            assert [e.score for e in got.entries] == [
+                e.score for e in expected.entries
+            ], query
             assert got.total == expected.total, query
             assert not got.degraded, query
 
     def test_zero_cross_catalog_leakage(self, setup):
-        store, federation, partition, _ = setup
+        store, federation, partition = setup
         user_id, team_id = self._context(store)
         for query in query_pool(store):
             result = federation.search(
@@ -213,8 +209,8 @@ class TestConformance:
                     == entry.ref.catalog_id
                 ), f"{entry.id} leaked across catalogs for {query!r}"
 
-    def test_scores_match_monolith(self, setup):
-        store, federation, partition, mono = setup
+    def test_scores_match_monolith(self, stacks):
+        store, federation, mono = stacks
         user_id, team_id = self._context(store)
         expected = mono.search(
             "badged: endorsed",
@@ -265,26 +261,26 @@ class TestDegradation:
                 federation.search("orders", members=["nope"])
 
     def test_empty_federation_cannot_search(self):
-        federation = FederatedCatalog()
+        federation = Discovery()
         with pytest.raises(FederationError, match="no member"):
             federation.search("orders")
 
 
 # ---------------------------------------------------------------------------
-# membership, read API, backend mix
+# membership, reads, backend mix
 
 
 class TestMembership:
     def test_duplicate_member_rejected(self):
         left, right = two_member_stores()
-        federation = FederatedCatalog()
+        federation = Discovery()
         federation.add_member("left", left)
         with pytest.raises(FederationError, match="already registered"):
             federation.add_member("left", right)
 
     def test_first_member_is_default_until_overridden(self):
         with two_member_federation() as federation:
-            assert federation.default_id == "left"
+            assert federation.default_member == "left"
             assert federation.artifact("t-orders").name == "ORDERS"
             federation.set_default("right")
             assert federation.artifact("t-returns").name == "RETURNS"
@@ -294,16 +290,10 @@ class TestMembership:
             assert federation.artifact("right:d-sales").name == "Sales Dashboard"
             assert federation.has_artifact("right:d-sales")
             assert not federation.has_artifact("right:t-orders")
-            assert federation.artifact_count == 4
-            assert federation.by_type("table") == [
-                "left:t-orders", "right:t-returns"
-            ]
-            assert federation.qualify("left", "t-orders") == "left:t-orders"
 
     def test_users_are_deduped_across_members(self):
         with two_member_federation() as federation:
             assert [u.id for u in federation.users()] == ["u-ann"]
-            assert [t.id for t in federation.teams()] == ["t-1"]
 
     def test_sqlite_and_memory_members_mix(self, tmp_path):
         left, right = two_member_stores()
@@ -315,7 +305,7 @@ class TestMembership:
                 disk.add_team(team)
             for artifact_id in right.artifact_ids():
                 disk.add_artifact(right.artifact(artifact_id))
-        federation = FederatedCatalog()
+        federation = Discovery()
         federation.add_member("mem", left)
         federation.add_member("disk", db_path)
         result = federation.search("type: table", user_id="u-ann")
@@ -393,7 +383,7 @@ class TestLineageStitching:
 
 
 # ---------------------------------------------------------------------------
-# the Discovery facade
+# Discovery.open and the member stack
 
 
 class TestDiscoveryFacade:
@@ -427,14 +417,15 @@ class TestDiscoveryFacade:
         federation = two_member_federation()
         with pytest.raises(FederationError, match="fixed by"):
             Discovery.open(federation, spec=default_spec())
-        Discovery.open(federation).close()
+        assert Discovery.open(federation) is federation
+        federation.close()
 
     def test_lineage_and_health_surface(self):
         left, right = two_member_stores()
         with Discovery.open(members={"left": left, "right": right}) as d:
-            d.federation.add_cross_edge("left:v-orders", "right:d-sales")
+            d.add_cross_edge("left:v-orders", "right:d-sales")
             lineage = d.lineage("t-orders")
             assert "right:d-sales" in lineage.nodes
             d.search("orders", user_id="u-ann")
-            assert isinstance(d.render_health(), str)
-            assert d.engine is d.federation.engine
+            assert "fed://left/search" in d.render_health()
+            assert d.engine.registry is d.registry

@@ -15,12 +15,14 @@ from repro.errors import (
     SpecValidationError,
     UnknownProviderError,
 )
+from repro.providers.execution import ExecutionEngine
 from repro.providers.suite import default_spec
 
 
 @pytest.fixture
 def interface(tiny_store, tiny_registry):
-    return DiscoveryInterface(tiny_store, tiny_registry, default_spec())
+    engine = ExecutionEngine(tiny_registry, store=tiny_store)
+    return DiscoveryInterface(tiny_store, engine, default_spec())
 
 
 class TestDiscoveryInterface:
@@ -30,7 +32,9 @@ class TestDiscoveryInterface:
                          representation="list")
         )
         with pytest.raises(SpecValidationError, match="not registered"):
-            DiscoveryInterface(tiny_store, tiny_registry, bad)
+            DiscoveryInterface(
+                tiny_store, ExecutionEngine(tiny_registry, store=tiny_store), bad
+            )
 
     def test_overview_tabs_follow_spec_order(self, interface):
         tabs = interface.overview_tabs(user_id="u-ann")

@@ -262,25 +262,6 @@ class TestConservativeFallback:
         engine.execute("x://undeclared", ProviderRequest())
         assert endpoints["x://undeclared"].calls == 3
 
-    def test_store_without_domain_counters_flushes_everything(self):
-        """Duck-typed stores predating domain versioning fall back to the
-        old invalidate-on-any-write behaviour, even for declared deps."""
-
-        class LegacyStore:
-            def __init__(self):
-                self.version = 0
-
-        store = LegacyStore()
-        registry = EndpointRegistry()
-        endpoint = CountingEndpoint()
-        depends_on(DOMAIN_ENTITIES)(endpoint)
-        registry.register("x://e", endpoint)
-        engine = ExecutionEngine(registry, store=store)
-        engine.execute("x://e", ProviderRequest())
-        store.version += 1  # a "usage-like" write on a legacy store
-        engine.execute("x://e", ProviderRequest())
-        assert endpoint.calls == 2
-
     def test_registry_swap_still_flushes_everything(self, tiny_store):
         engine, endpoints = build_matrix_engine(tiny_store)
         for uri in ENDPOINT_DEPS:

@@ -80,7 +80,7 @@ class TestFederatedDeployment:
         )
         # Plant a fault: cat1's search endpoint answers with cat2's
         # artifacts, which the merge then attributes to cat1.
-        registry = harness.discovery.federation.registry
+        registry = harness.discovery.registry
         registry.register(
             member_search_endpoint_uri("cat1"),
             registry.resolve(member_search_endpoint_uri("cat2")),

@@ -281,4 +281,4 @@ class TestFederationFanOut:
         extra = generate_catalog(SynthConfig(seed=11, n_tables=6))
         federation.add_member("late", extra)
         member = federation._members["late"]
-        assert member.evaluator.engine.tracer is tracer
+        assert member.interface.engine.tracer is tracer

@@ -26,7 +26,7 @@ from repro.providers.base import (
     ScoredArtifact,
     estimates_with,
 )
-from repro.providers.builtin import BuiltinProviders, install_builtin_endpoints
+from repro.providers.builtin import builtin_engine
 from repro.providers.execution import ExecutionEngine
 from repro.providers.fields import FieldResolver
 from repro.providers.registry import EndpointRegistry
@@ -35,11 +35,9 @@ from repro.synth import SynthConfig, generate_catalog
 
 
 def _make_evaluator(store, planning: bool) -> QueryEvaluator:
-    registry = EndpointRegistry()
-    install_builtin_endpoints(registry, BuiltinProviders(store))
     evaluator = QueryEvaluator(
         store,
-        registry,
+        builtin_engine(store),
         QueryLanguage(default_spec()),
         Ranker(FieldResolver(store)),
     )

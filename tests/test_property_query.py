@@ -117,16 +117,10 @@ _STORE = build_tiny_store()
 
 @pytest.fixture(scope="module")
 def evaluator():
-    from repro.providers.builtin import (
-        BuiltinProviders,
-        install_builtin_endpoints,
-    )
-    from repro.providers.registry import EndpointRegistry
+    from repro.providers.builtin import builtin_engine
 
-    registry = EndpointRegistry()
-    install_builtin_endpoints(registry, BuiltinProviders(_STORE))
     language = QueryLanguage(default_spec())
-    return QueryEvaluator(_STORE, registry, language,
+    return QueryEvaluator(_STORE, builtin_engine(_STORE), language,
                           Ranker(FieldResolver(_STORE)))
 
 

@@ -27,7 +27,6 @@ PUBLIC_API = [
     "EndpointRegistry",
     "ExecutionEngine",
     "ExecutionPolicy",
-    "FederatedCatalog",
     "FederatedSearchResult",
     "HumboldtSpec",
     "JsonlExporter",

@@ -10,6 +10,7 @@ from repro.core.query.pills import CallPill, FieldPill, PillQuery, TextPill
 from repro.core.ranking import Ranker
 from repro.errors import QueryCompileError
 from repro.providers.base import RequestContext
+from repro.providers.execution import ExecutionEngine
 from repro.providers.fields import FieldResolver
 from repro.providers.suite import default_spec
 
@@ -22,7 +23,10 @@ def language():
 @pytest.fixture
 def evaluator(tiny_store, tiny_registry, language):
     return QueryEvaluator(
-        tiny_store, tiny_registry, language, Ranker(FieldResolver(tiny_store))
+        tiny_store,
+        ExecutionEngine(tiny_registry, store=tiny_store),
+        language,
+        Ranker(FieldResolver(tiny_store)),
     )
 
 

@@ -62,7 +62,9 @@ def _make_app(faults: dict[str, str]) -> WorkbookApp:
                                          name=endpoint)
         registry.register(endpoint, wrapped, replace=True)
         policy = policy.for_endpoint(endpoint, breaker_failure_threshold=1)
-    return WorkbookApp(_STORE, registry=registry, policy=policy)
+    return WorkbookApp(
+        _STORE, engine=ExecutionEngine(registry, store=_STORE, policy=policy)
+    )
 
 
 def _baseline_tabs() -> dict[str, str]:
@@ -181,9 +183,7 @@ class TestStaleSearch:
                 "catalog://badged", breaker_failure_threshold=1
             ),
         )
-        return DiscoveryInterface(
-            store=_STORE, registry=registry, spec=_SPEC, engine=engine
-        ), clock
+        return DiscoveryInterface(_STORE, engine, _SPEC), clock
 
     def test_stale_members_served_and_flagged(self):
         interface, clock = self._interface()

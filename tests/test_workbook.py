@@ -2,7 +2,15 @@
 
 import pytest
 
-from repro.errors import ConfigurationError, UnknownEntityError
+from repro.errors import (
+    ConfigurationError,
+    SpecValidationError,
+    UnknownEntityError,
+)
+from repro.providers.builtin import BuiltinProviders, install_builtin_endpoints
+from repro.providers.execution import ExecutionEngine
+from repro.providers.faults import FlakyEndpoint
+from repro.providers.registry import EndpointRegistry
 from repro.workbook.app import WorkbookApp
 from repro.workbook.events import EventLog, UiEvent
 
@@ -49,6 +57,50 @@ class TestApp:
         tiny_app.update_spec(smaller)
         session = tiny_app.session("u-ann")
         assert "recents" not in [t.provider_name for t in session.open_home()]
+
+
+class TestAppOnHostEngine:
+    """A host-built engine is the app's one execution layer: the app
+    serves from the engine's registry and validates the spec against it."""
+
+    def test_builtin_engine_serves_like_the_default_app(self, tiny_store):
+        registry = EndpointRegistry()
+        install_builtin_endpoints(registry, BuiltinProviders(tiny_store))
+        engine = ExecutionEngine(registry, store=tiny_store)
+        with WorkbookApp(tiny_store, engine=engine) as app, \
+                WorkbookApp(tiny_store) as default:
+            assert app.registry is engine.registry
+            tabs = app.interface.overview_tabs(user_id="u-ann")
+            assert [t.provider_name for t in tabs] == [
+                t.provider_name
+                for t in default.interface.overview_tabs(user_id="u-ann")
+            ]
+            assert app.interface.last_errors == []
+            result, _ = app.interface.search("type: table")
+            expected, _ = default.interface.search("type: table")
+            assert result.total == expected.total > 0
+            # An endpoint swapped through the app's registry is the one
+            # the engine serves.
+            original = app.registry.resolve("catalog://most_viewed")
+            app.registry.register(
+                "catalog://most_viewed",
+                FlakyEndpoint(original, fail_on=lambda i: True),
+                replace=True,
+            )
+            names = [
+                t.provider_name
+                for t in app.interface.overview_tabs(user_id="u-ann")
+            ]
+            assert "most_viewed" not in names
+            assert [name for name, _ in app.interface.last_errors] == [
+                "most_viewed"
+            ]
+
+    def test_engine_without_the_spec_endpoints_is_rejected(self, tiny_store):
+        engine = ExecutionEngine(EndpointRegistry(), store=tiny_store)
+        with pytest.raises(SpecValidationError, match="not registered"):
+            WorkbookApp(tiny_store, engine=engine)
+        engine.close()
 
 
 class TestSessionNavigation:
